@@ -25,6 +25,7 @@ from .model import (
     forward,
     loss_and_grad,
     predict,
+    predict_batch,
     predict_multiple_choice,
     train,
 )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import augment, dataio, evalstats, qparse, vocab as vocabmod
 from .errors import DanglingReference, QsupError
-from .model import predict, train
+from .model import predict_batch, train
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +33,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise _UsageError(message)
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the flag's text, then require ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
@@ -152,16 +165,19 @@ def _cmd_predict(args) -> int:
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
     feature_refs = {e.image_id: e.feature_ref for e in manifest.images}
-    out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8") as fh:
+
+    def examples():
         for q in manifest.questions:
             ref = feature_refs[q.image_id]
             if ref not in features:
                 raise DanglingReference(f"image {q.image_id}: no features under ref {ref}")
-            extras = None
-            if args.use_extras:
-                extras = [x for x in grouped[q.image_id] if x.id != q.id]
-            answer, _ = predict(model, text_vocab, features[ref], q, extras)
+            extras = [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None
+            yield features[ref], q, extras
+
+    out_path = Path(args.out)
+    answers = predict_batch(model, text_vocab, examples())
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for q, (answer, _) in zip(manifest.questions, answers):
             fh.write(
                 json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": answer})
                 + "\n"
@@ -170,8 +186,9 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_predictions(path: str) -> dict:
-    predictions = {}
+def _read_jsonl(path: str, *keys: str):
+    """Yield (line number, record) for each non-blank line; records must be
+    objects holding ``keys``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -180,10 +197,20 @@ def _load_predictions(path: str) -> dict:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise dataio.ParseError(f"{path}:{lineno}: {exc.msg}") from exc
-            if "question_id" not in record or "answer" not in record:
-                raise dataio.ParseError(f"{path}:{lineno}: need question_id and answer")
-            predictions[record["question_id"]] = record["answer"]
-    return predictions
+            if not isinstance(record, dict) or not all(k in record for k in keys):
+                raise dataio.ParseError(f"{path}:{lineno}: need {' and '.join(keys)}")
+            yield lineno, record
+
+
+def _load_predictions(path: str) -> dict:
+    return {r["question_id"]: r["answer"] for _, r in _read_jsonl(path, "question_id", "answer")}
+
+
+def _label_set(labels, classes: tuple[str, ...], context: str) -> qparse.LabelSet:
+    try:
+        return qparse.LabelSet(frozenset(labels), classes)
+    except (TypeError, ValueError) as exc:
+        raise dataio.ParseError(f"{context}: {exc}") from exc
 
 
 def _matched_pairs(pred_path: str, dataset_path: str) -> list[tuple[str, str]]:
@@ -216,23 +243,21 @@ def _cmd_eval(args) -> int:
         ]
     else:
         obj_vocab, types = _load_tables(args)
+        classes = obj_vocab.class_names
         manifest = dataio.load_dataset(args.dataset)
         truth, predicted = [], []
-        labels_by_image = {}
-        with open(args.labels, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    labels_by_image[record["image_id"]] = record["labels"]
+        labels_by_image = {
+            r["image_id"]: _label_set(r["labels"], classes, f"{args.labels}:{lineno}")
+            for lineno, r in _read_jsonl(args.labels, "image_id", "labels")
+        }
         for entry in manifest.images:
             if entry.gt_labels is None:
                 continue
             if entry.image_id not in labels_by_image:
                 raise DanglingReference(f"no extracted labels for image {entry.image_id}")
-            predicted.append(
-                qparse.LabelSet(frozenset(labels_by_image[entry.image_id]), obj_vocab.class_names)
-            )
-            truth.append(qparse.LabelSet(frozenset(entry.gt_labels), obj_vocab.class_names))
+            predicted.append(labels_by_image[entry.image_id])
+            context = f"{args.dataset}: image {entry.image_id}"
+            truth.append(_label_set(entry.gt_labels, classes, context))
         report = evalstats.per_class_pr(predicted, truth)
         payload = {
             "mean_precision": report.mean_precision,
@@ -311,7 +336,6 @@ def _cmd_word_targets(args) -> int:
 
 
 def _records_to_manifest(records, original: dataio.DatasetManifest) -> dataio.DatasetManifest:
-    keep = {r.image_id for r in records}
     gt = {e.image_id: e for e in original.images}
     images = tuple(gt[r.image_id] for r in records)
     questions = tuple(q for r in records for q in r.all_questions)
@@ -326,8 +350,6 @@ def _cmd_simulate(args) -> int:
         result = augment.simulate_unanswered(records, args.keep, args.seed)
         dataio.save_dataset(_records_to_manifest(result, manifest), out_path)
     else:
-        if args.out_rest is None:
-            raise _UsageError("--fraction needs --out-rest")
         kept, rest = augment.simulate_answered_fraction(records, args.fraction, args.seed)
         dataio.save_dataset(_records_to_manifest(kept, manifest), out_path)
         dataio.save_dataset(_records_to_manifest(rest, manifest), args.out_rest)
@@ -387,8 +409,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bootstrap", help="bootstrap confidence interval for accuracy")
     p.add_argument("--pred", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--confidence", type=float, default=0.999)
-    p.add_argument("--resamples", type=int, default=10000)
+    p.add_argument("--confidence", type=_checked(float, lambda c: 0.0 < c < 1.0, "in (0, 1)"),
+                   default=0.999)
+    p.add_argument("--resamples", type=_checked(int, lambda n: n >= 1000, ">= 1000"),
+                   default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=_cmd_bootstrap)
@@ -399,7 +423,7 @@ def build_parser() -> _Parser:
                    choices=[m.value for m in vocabmod.WordTargetMode])
     p.add_argument("--out", required=True, help="output JSONL (a .words sidecar is added)")
     p.add_argument("--text-vocab", help="vocabulary file; built from the data if absent")
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=_checked(int, lambda n: n >= 1, ">= 1"), default=1)
     p.add_argument("--vocab", help="object vocabulary file (classes80 mode)")
     p.add_argument("--types", help="question-type table (classes80 mode)")
     p.set_defaults(func=_cmd_word_targets)
@@ -407,14 +431,29 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="strip answers to simulate weak supervision")
     p.add_argument("--in", required=True, help="dataset manifest (JSON)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--keep", type=int, help="answered questions kept per image")
-    p.add_argument("--fraction", type=float,
+    p.add_argument("--keep", type=_checked(int, lambda n: n >= 0, ">= 0"),
+                   help="answered questions kept per image")
+    p.add_argument("--fraction", type=_checked(float, lambda f: 0.0 <= f <= 1.0, "in [0, 1]"),
                    help="fraction of images keeping their answers")
     p.add_argument("--out", required=True)
     p.add_argument("--out-rest", help="output for the stripped split (fraction mode)")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
+
+
+def _flag_combination_error(args: argparse.Namespace) -> str | None:
+    """The usage error in flags that are valid one by one but not together."""
+    if args.command == "simulate":
+        if (args.keep is None) == (args.fraction is None):
+            return "simulate: give exactly one of --keep / --fraction"
+        if args.fraction is not None and args.out_rest is None:
+            return "simulate: --fraction needs --out-rest"
+    if args.command == "eval":
+        needed = {"vqa": "pred", "extraction": "labels"}[args.task]
+        if getattr(args, needed) is None:
+            return f"eval: --task {args.task} needs --{needed}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -425,10 +464,9 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        if args.command == "simulate" and (args.keep is None) == (args.fraction is None):
-            parser.print_usage(sys.stderr)
-            sys.stderr.write("qsup simulate: error: give exactly one of --keep / --fraction\n")
-            return 1
+        problem = _flag_combination_error(args)
+        if problem:
+            parser.error(problem)
         return args.func(args)
     except _UsageError:
         return 1

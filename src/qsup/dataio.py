@@ -202,7 +202,6 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
             answers[qid] = _require(record, "multiple_choice_answer", context)
 
     questions = []
-    image_ids: list[int] = []
     for i, record in enumerate(q_payload.get("questions", [])):
         context = f"{questions_path}: questions[{i}]"
         qid = _require(record, "question_id", context)
@@ -213,14 +212,13 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
         choices = record.get("multiple_choices")
         if choices is not None:
             choices = tuple(choices)
-        if image_id not in image_ids:
-            image_ids.append(image_id)
         try:
             questions.append(Question(qid, image_id, text, answers.get(qid), choices))
         except ValueError as exc:
             raise ParseError(f"{context}: {exc}") from exc
 
-    images = [ImageEntry(i, i, None) for i in image_ids]
+    # dict.fromkeys keeps first-appearance order and runs in linear time
+    images = [ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions)]
     return _validate_manifest(images, questions)
 
 
@@ -364,7 +362,6 @@ class RunConfig:
     augment_mode: str = "powerset"
     vocab: Path | None = None  # prebuilt text vocabulary; built from data if absent
     min_count: int = 1
-    test_extras: bool = False
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -406,7 +403,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         augment_mode=payload.get("augment_mode", "powerset"),
         vocab=resolve("vocab", required=False),
         min_count=int(payload.get("min_count", 1)),
-        test_extras=bool(payload.get("test_extras", False)),
     )
 
 

@@ -3,17 +3,21 @@
 The representation concatenates three independently L2-normalized blocks:
 ingested image features, an embedded bag-of-words of the target question,
 and an embedded bag-of-words of the extra questions concatenated together.
-A learned affine layer plus softmax predicts the answer class.  Training is
-plain mini-batch SGD with analytic gradients, including the Jacobian of the
-L2 normalization applied to the two text blocks.
+A learned affine layer plus softmax predicts the answer class.  One batched
+forward pass, over count matrices of just the words a batch uses, serves
+training, the full-data loss and predict (64 examples at a time).  Training
+is plain mini-batch SGD with analytic gradients, including the Jacobian of
+the L2 normalization applied to the two text blocks; each step updates only
+the embedding rows of words in the batch, the only rows with a gradient.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,12 +45,14 @@ __all__ = [
     "build_answer_vocab",
     "train",
     "predict",
+    "predict_batch",
     "predict_multiple_choice",
 ]
 
 logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
+_PREDICT_CHUNK = 64  # examples per predict forward pass; bounds its memory
 
 
 class ModelDims(NamedTuple):
@@ -102,10 +108,10 @@ class FeatureBlock:
     """Inputs for one example: image vector plus the two text bags.
 
     The text blocks are kept as bag-of-words counts; they are embedded and
-    L2-normalized against the current parameters inside ``forward`` and
-    ``loss_and_grad``, which is what makes gradients w.r.t. the embedding
-    matrices well defined.  The image vector is expected to be normalized
-    already (``make_feature_block`` does it).
+    L2-normalized against the current parameters inside the forward pass,
+    which is what makes gradients w.r.t. the embedding matrices well
+    defined.  The image vector is expected to be normalized already
+    (``make_feature_block`` does it).
     """
 
     image: np.ndarray
@@ -130,7 +136,6 @@ class TrainConfig:
     answer_vocab_size: int = 1000
     weight_init_scale: float = 0.01
     embed_dim: int = 256
-    momentum: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -141,32 +146,44 @@ class TrainConfig:
             raise ValueError("answer_vocab_size and embed_dim must be >= 1")
         if self.weight_init_scale < 0:
             raise ValueError("weight_init_scale must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
 # building blocks
 
 
+def _embed_bags(bags: Sequence[BowVector], embedding: np.ndarray):
+    """Embed bags over just the words they use: the sorted positions of those
+    words, the (bags, words) count matrix and the (bags, dim) embedded sums."""
+    v = embedding.shape[0]
+    for bag in bags:
+        if bag.vocab_size != v:
+            raise DimMismatch(f"bow over {bag.vocab_size} words vs embedding with {v} rows")
+    sizes = [len(bag.entries) for bag in bags]
+    chain = itertools.chain.from_iterable
+    positions = np.fromiter(chain(bag.entries for bag in bags), np.intp, sum(sizes))
+    counts = np.fromiter(chain(bag.entries.values() for bag in bags), np.float64, sum(sizes))
+    words, cols = np.unique(positions, return_inverse=True)
+    matrix = np.zeros((len(bags), len(words)))
+    matrix[np.repeat(np.arange(len(bags)), sizes), cols] = counts
+    return words, matrix, matrix @ embedding[words]
+
+
+def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (last axis) divided by their L2 norms, and the norms; near-zero
+    rows stay unchanged."""
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw / np.where(norms > _NORM_EPS, norms, 1.0), norms
+
+
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
-    if counts.vocab_size != embedding.shape[0]:
-        raise DimMismatch(
-            f"bow over {counts.vocab_size} words vs embedding with {embedding.shape[0]} rows"
-        )
-    out = np.zeros(embedding.shape[1], dtype=np.float64)
-    for pos, count in counts.entries.items():
-        out += count * embedding[pos]
-    return out
+    return _embed_bags([counts], embedding)[2][0]
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """v / ||v||, with vectors of near-zero norm returned unchanged."""
-    norm = float(np.linalg.norm(v))
-    if norm <= _NORM_EPS:
-        return v
-    return v / norm
+    return _normalize_rows(np.asarray(v))[0]
 
 
 def make_feature_block(
@@ -184,56 +201,57 @@ def make_feature_block(
     )
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _forward(model: LinearModel, blocks: Sequence[FeatureBlock]):
+    """(log_probs, x, texts) for a batch: x is the concatenated normalized
+    input and texts holds (word positions, counts, norms) per text block."""
+    d_img = model.dims.d_img
+    for block in blocks:
+        if block.image.shape != (d_img,):
+            raise DimMismatch(f"image block has shape {block.image.shape}, expected ({d_img},)")
+    parts = [np.stack([block.image for block in blocks])]
+    texts = []
+    for bags, embedding in (([b.target_bow for b in blocks], model.embed_target),
+                            ([b.extra_bow for b in blocks], model.embed_extra)):
+        words, counts, raw = _embed_bags(bags, embedding)
+        normed, norms = _normalize_rows(raw)
+        parts.append(normed)
+        texts.append((words, counts, norms))
+    x = np.concatenate(parts, axis=1)
+    z = x @ model.fc_weights.T + model.fc_bias
+    z -= z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True)), x, texts
 
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
     """Probability vector over answers for one feature block."""
-    d_img, d_t, d_e, _ = model.dims
-    if block.image.shape != (d_img,):
-        raise DimMismatch(f"image block has shape {block.image.shape}, expected ({d_img},)")
-    t = l2_normalize(embed_bow(block.target_bow, model.embed_target))
-    e = l2_normalize(embed_bow(block.extra_bow, model.embed_extra))
-    x = np.concatenate([block.image, t, e])
-    return _softmax(model.fc_weights @ x + model.fc_bias)
+    return np.exp(_forward(model, [block])[0][0])
 
 
 # ---------------------------------------------------------------------------
 # loss and gradients
 
 
-def _batch_matrices(model: LinearModel, batch: Sequence[tuple[FeatureBlock, int]]):
-    d_img, d_t, d_e, n_answers = model.dims
-    v = model.vocab_size
-    b = len(batch)
-    img = np.zeros((b, d_img))
-    c_t = np.zeros((b, v))
-    c_e = np.zeros((b, v))
-    labels = np.zeros(b, dtype=np.int64)
-    for row, (block, label) in enumerate(batch):
-        if block.image.shape != (d_img,):
-            raise DimMismatch(f"image block has shape {block.image.shape}, expected ({d_img},)")
-        if block.target_bow.vocab_size != v or block.extra_bow.vocab_size != v:
-            raise DimMismatch("bag-of-words vocabulary does not match the embeddings")
-        if not 0 <= label < n_answers:
-            raise ValueError(f"label {label} outside answer vocabulary of {n_answers}")
-        img[row] = block.image
-        for pos, count in block.target_bow.entries.items():
-            c_t[row, pos] = count
-        for pos, count in block.extra_bow.entries.items():
-            c_e[row, pos] = count
-        labels[row] = label
-    return img, c_t, c_e, labels
+def _backward(model: LinearModel, blocks: Sequence[FeatureBlock], labels: np.ndarray):
+    """(loss, d fc_weights, d fc_bias, text rows) of the batch's mean cross-entropy;
+    text rows holds (word positions, gradient rows) for each embedding, whose
+    other rows have zero gradient."""
+    log_probs, x, texts = _forward(model, blocks)
+    picked = np.arange(len(blocks)), labels
+    loss = float(-log_probs[picked].mean())
+    dz = np.exp(log_probs)
+    dz[picked] -= 1.0
+    dz /= len(blocks)
 
-
-def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    safe = norms > _NORM_EPS
-    out = np.where(safe, raw / np.where(safe, norms, 1.0), raw)
-    return out, norms
+    d_img, d_t, _, _ = model.dims
+    dx = dz @ model.fc_weights
+    text_rows = []
+    for (words, counts, norms), lo, hi in zip(texts, (d_img, d_img + d_t), (d_img + d_t, None)):
+        g, normed = dx[:, lo:hi], x[:, lo:hi]
+        safe = norms > _NORM_EPS
+        inner = (g * normed).sum(axis=1, keepdims=True)
+        d_raw = np.where(safe, (g - normed * inner) / np.where(safe, norms, 1.0), g)
+        text_rows.append((words, counts.T @ d_raw))
+    return loss, dz.T @ x, dz.sum(axis=0), text_rows
 
 
 def loss_and_grad(
@@ -249,42 +267,16 @@ def loss_and_grad(
     """
     if not batch:
         raise EmptyBatch("loss_and_grad needs at least one example")
-    d_img, d_t, d_e, _ = model.dims
-    b = len(batch)
-    img, c_t, c_e, labels = _batch_matrices(model, batch)
-
-    t_raw = c_t @ model.embed_target
-    e_raw = c_e @ model.embed_extra
-    t_norm, t_norms = _normalize_rows(t_raw)
-    e_norm, e_norms = _normalize_rows(e_raw)
-    x = np.concatenate([img, t_norm, e_norm], axis=1)
-
-    z = x @ model.fc_weights.T + model.fc_bias
-    z_shift = z - z.max(axis=1, keepdims=True)
-    log_probs = z_shift - np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(b), labels].mean())
-
-    dz = np.exp(log_probs)
-    dz[np.arange(b), labels] -= 1.0
-    dz /= b
-
-    d_bias = dz.sum(axis=0)
-    d_weights = dz.T @ x
-    dx = dz @ model.fc_weights
-    g_t = dx[:, d_img : d_img + d_t]
-    g_e = dx[:, d_img + d_t :]
-
-    def back_normalize(g, normed, norms):
-        safe = norms > _NORM_EPS
-        inner = (g * normed).sum(axis=1, keepdims=True)
-        return np.where(safe, (g - normed * inner) / np.where(safe, norms, 1.0), g)
-
-    d_t_raw = back_normalize(g_t, t_norm, t_norms)
-    d_e_raw = back_normalize(g_e, e_norm, e_norms)
-    d_embed_t = c_t.T @ d_t_raw
-    d_embed_e = c_e.T @ d_e_raw
-
-    return loss, Gradients(d_embed_t, d_embed_e, d_weights, d_bias)
+    blocks, labels = zip(*batch)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_answers = len(model.answer_vocab)
+    if not ((labels >= 0) & (labels < n_answers)).all():
+        raise ValueError(f"labels outside answer vocabulary of {n_answers}: {labels}")
+    loss, d_weights, d_bias, text_rows = _backward(model, blocks, labels)
+    d_embed = [np.zeros_like(model.embed_target), np.zeros_like(model.embed_extra)]
+    for grad, (words, rows) in zip(d_embed, text_rows):
+        grad[words] = rows
+    return loss, Gradients(*d_embed, d_weights, d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,7 @@ def train(
     The answer vocabulary is the most frequent answers in the stream;
     exemplars whose answer falls outside it are dropped (and counted in the
     log).  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
-    epoch when provided.
+    epoch when provided, computed ``batch_size`` examples at a time.
     """
     exemplar_list = list(exemplars)
     if not exemplar_list:
@@ -338,11 +330,11 @@ def train(
             )
         return image_cache[image_id]
 
-    blocks: list[FeatureBlock] = []
-    labels: list[int] = []
-    for e in kept:
-        blocks.append(make_feature_block(vocab, image_vec(e.image_id), e.target_question, e.extra))
-        labels.append(answer_index[e.answer])
+    blocks = [
+        make_feature_block(vocab, image_vec(e.image_id), e.target_question, e.extra)
+        for e in kept
+    ]
+    labels = np.array([answer_index[e.answer] for e in kept], dtype=np.int64)
 
     d_img = blocks[0].image.shape[0]
     d = config.embed_dim
@@ -357,31 +349,29 @@ def train(
         fc_bias=rng.uniform(-s, s, n_answers),
         answer_vocab=answer_vocab,
     )
-    velocity = (
-        {k: np.zeros_like(p) for k, p in model.parameters().items()}
-        if config.momentum > 0
-        else None
-    )
 
     n = len(blocks)
+    lr = config.learning_rate
+    chunks = range(0, n, config.batch_size)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
+        for lo in chunks:
             idx = order[lo : lo + config.batch_size]
-            _, grads = loss_and_grad(model, [(blocks[i], labels[i]) for i in idx])
-            for name, param in model.parameters().items():
-                g = getattr(grads, name)
-                if velocity is not None:
-                    velocity[name] = config.momentum * velocity[name] - config.learning_rate * g
-                    param += velocity[name]
-                else:
-                    param -= config.learning_rate * g
+            _, d_weights, d_bias, embeds = _backward(model, [blocks[i] for i in idx], labels[idx])
+            model.fc_weights -= lr * d_weights
+            model.fc_bias -= lr * d_bias
+            for embedding, (words, rows) in zip((model.embed_target, model.embed_extra), embeds):
+                embedding[words] -= lr * rows
         for param in model.parameters().values():
             if not np.isfinite(param).all():
                 raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         if on_epoch_end is not None:
-            full_loss, _ = loss_and_grad(model, list(zip(blocks, labels)))
-            on_epoch_end(epoch, full_loss)
+            nll = 0.0
+            for lo in chunks:
+                hi = lo + config.batch_size
+                log_probs = _forward(model, blocks[lo:hi])[0]
+                nll -= log_probs[np.arange(len(log_probs)), labels[lo:hi]].sum()
+            on_epoch_end(epoch, float(nll / n))
     return model
 
 
@@ -402,10 +392,21 @@ def predict(
     the standard single-question test protocol.  Provided extra questions
     are concatenated into one string before featurization.
     """
-    block = make_feature_block(vocab, image_feat, target_q, extra_qs)
-    probs = forward(model, block)
-    idx = int(np.argmax(probs))  # ties resolve to the lowest index
-    return model.answer_vocab[idx], probs
+    return next(predict_batch(model, vocab, [(image_feat, target_q, extra_qs)]))
+
+
+def predict_batch(
+    model: LinearModel,
+    vocab: Vocabulary,
+    examples: Iterable[tuple[np.ndarray, Question, Sequence[Question] | None]],
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Generate ``predict`` results for (image_feat, target_q, extra_qs)
+    examples in order, 64 per forward pass, so memory stays bounded."""
+    examples = iter(examples)
+    while chunk := list(itertools.islice(examples, _PREDICT_CHUNK)):
+        blocks = [make_feature_block(vocab, *example) for example in chunk]
+        for probs in np.exp(_forward(model, blocks)[0]):
+            yield model.answer_vocab[int(np.argmax(probs))], probs  # ties: lowest index
 
 
 def predict_multiple_choice(

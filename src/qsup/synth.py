@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .augment import ImageRecord
-from .model import LinearModel, predict
+from .model import LinearModel, predict_batch
 from .qparse import Question
 from .vocab import Vocabulary
 
@@ -84,17 +84,15 @@ def answer_accuracy(
     use_extras: bool = False,
 ) -> float:
     """Exact-match accuracy over every answered question in the records."""
-    correct = 0
-    total = 0
-    for record in records:
-        for q in record.answered:
-            extras = None
-            if use_extras:
-                extras = [x for x in record.all_questions if x.id != q.id]
-            answer, _ = predict(model, vocab, features[record.image_id], q, extras)
-            correct += answer == q.answer
-            total += 1
-    return correct / total if total else 0.0
+    asked = [(record, q) for record in records for q in record.answered]
+    examples = (
+        (features[r.image_id], q,
+         [x for x in r.all_questions if x.id != q.id] if use_extras else None)
+        for r, q in asked
+    )
+    answers = predict_batch(model, vocab, examples)
+    correct = sum(answer == q.answer for (answer, _), (_, q) in zip(answers, asked))
+    return correct / len(asked) if asked else 0.0
 
 
 def majority_baseline(records: Sequence[ImageRecord]) -> float:

@@ -80,12 +80,6 @@ class BowVector:
         merged.update(other.entries)
         return BowVector(dict(merged), self.vocab_size)
 
-    def as_dense(self, dtype=np.float64) -> np.ndarray:
-        out = np.zeros(self.vocab_size, dtype=dtype)
-        for pos, count in self.entries.items():
-            out[pos] = count
-        return out
-
 
 def build_vocabulary(corpus: Sequence[Question], min_count: int = 1) -> Vocabulary:
     """All tokens with frequency >= min_count, most frequent first, ties A-Z."""

@@ -224,3 +224,66 @@ class TestSimulate:
         assert len(kept_payload["images"]) == 5
         assert len(rest_payload["images"]) == 5
         assert all("answer" not in q for q in rest_payload["questions"])
+
+
+def _config_with_momentum(base):
+    cfg = json.loads((base / "run.json").read_text())
+    cfg["train"]["momentum"] = 0.9
+    (base / "momentum.json").write_text(json.dumps(cfg))
+    return ["train", "--config", str(base / "momentum.json")]
+
+
+def _labels_outside_vocabulary(base):
+    (base / "gt.json").write_text(json.dumps({
+        "images": [{"image_id": 1, "gt_labels": ["bus"]}],
+        "questions": [{"id": "q1", "image_id": 1, "text": "What color is the bus?"}],
+    }))
+    (base / "labels.jsonl").write_text(json.dumps({"image_id": 1, "labels": ["unicorn"]}) + "\n")
+    return ["eval", "--task", "extraction", "--labels", str(base / "labels.jsonl"),
+            "--dataset", str(base / "gt.json"), "--out-prefix", str(base / "pr")]
+
+
+# (argv built from the pair_setup directory, expected exit code):
+# 1 = bad flag value or combination, 2 = bad data
+CONTRACT_CASES = {
+    "bootstrap_too_few_resamples": (
+        lambda b: ["bootstrap", "--pred", str(b / "p.jsonl"), "--dataset", str(b / "data.json"),
+                   "--resamples", "10"], 1),
+    "bootstrap_confidence_above_one": (
+        lambda b: ["bootstrap", "--pred", str(b / "p.jsonl"), "--dataset", str(b / "data.json"),
+                   "--confidence", "1.5"], 1),
+    "simulate_negative_keep": (
+        lambda b: ["simulate", "--in", str(b / "data.json"), "--seed", "1", "--keep", "-1",
+                   "--out", str(b / "s.json")], 1),
+    "simulate_fraction_above_one": (
+        lambda b: ["simulate", "--in", str(b / "data.json"), "--seed", "1", "--fraction", "2",
+                   "--out", str(b / "s.json"), "--out-rest", str(b / "r.json")], 1),
+    "simulate_fraction_without_out_rest": (
+        lambda b: ["simulate", "--in", str(b / "data.json"), "--seed", "1", "--fraction", "0.5",
+                   "--out", str(b / "s.json")], 1),
+    "word_targets_zero_min_count": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
+                   "--min-count", "0", "--out", str(b / "t.jsonl")], 1),
+    "eval_vqa_without_pred": (
+        lambda b: ["eval", "--dataset", str(b / "data.json"), "--out-prefix", str(b / "r")], 1),
+    "eval_extraction_without_labels": (
+        lambda b: ["eval", "--task", "extraction", "--dataset", str(b / "data.json"),
+                   "--out-prefix", str(b / "r")], 1),
+    "eval_extraction_label_outside_vocabulary": (_labels_outside_vocabulary, 2),
+    "train_config_sets_momentum": (_config_with_momentum, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_cli_contract_exit_codes(case, pair_setup, capsys):
+    build_argv, expected = CONTRACT_CASES[case]
+    code = main(build_argv(pair_setup))
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1, err
+    if expected == 1:
+        assert "usage:" in err
+    else:
+        assert error_lines[0].startswith("qsup: error:")

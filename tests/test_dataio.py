@@ -310,3 +310,16 @@ class TestRunConfig:
         cfg_path.write_text("{}")
         with pytest.raises(ParseError):
             load_run_config(cfg_path)
+
+
+def test_vqa_adapter_lists_images_in_first_appearance_order(tmp_path):
+    q_path = tmp_path / "questions.json"
+    q_path.write_text(json.dumps({
+        "questions": [
+            {"question_id": qid, "image_id": image_id, "question": f"What is {qid}?"}
+            for qid, image_id in enumerate([1, 2, 1, 3, 2])
+        ]
+    }))
+    manifest = load_vqa_dataset(q_path)
+    assert [e.image_id for e in manifest.images] == [1, 2, 3]
+    assert [q.image_id for q in manifest.questions] == [1, 2, 1, 3, 2]

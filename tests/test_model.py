@@ -17,11 +17,12 @@ from qsup.model import (
     loss_and_grad,
     make_feature_block,
     predict,
+    predict_batch,
     predict_multiple_choice,
     train,
 )
 from qsup.qparse import Question
-from qsup.synth import answer_accuracy, make_separable_dataset
+from qsup.synth import answer_accuracy, make_pair_dataset, make_separable_dataset
 from qsup.vocab import BowVector, Vocabulary, build_vocabulary
 
 
@@ -335,3 +336,147 @@ class TestMakeFeatureBlock:
         vocab = Vocabulary(["a"])
         block = make_feature_block(vocab, np.zeros(2), Question("q", 1, "a"))
         np.testing.assert_array_equal(block.image, np.zeros(2))
+
+
+def dense_loss_and_grad(model, batch):
+    """The batch-by-vocabulary formulation: dense count matrices over every word."""
+    v = model.vocab_size
+    d_img, d_t, _, _ = model.dims
+    b = len(batch)
+    c_t, c_e = np.zeros((b, v)), np.zeros((b, v))
+    for row, (block, _) in enumerate(batch):
+        for pos, count in block.target_bow.entries.items():
+            c_t[row, pos] = count
+        for pos, count in block.extra_bow.entries.items():
+            c_e[row, pos] = count
+    labels = np.array([label for _, label in batch])
+
+    def normalize(raw):
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        safe = norms > 1e-12
+        return np.where(safe, raw / np.where(safe, norms, 1.0), raw), norms
+
+    def back_normalize(g, normed, norms):
+        safe = norms > 1e-12
+        inner = (g * normed).sum(axis=1, keepdims=True)
+        return np.where(safe, (g - normed * inner) / np.where(safe, norms, 1.0), g)
+
+    t, t_norms = normalize(c_t @ model.embed_target)
+    e, e_norms = normalize(c_e @ model.embed_extra)
+    x = np.concatenate([np.array([block.image for block, _ in batch]), t, e], axis=1)
+    z = x @ model.fc_weights.T + model.fc_bias
+    z -= z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(b), labels].mean()
+    dz = np.exp(log_probs)
+    dz[np.arange(b), labels] -= 1.0
+    dz /= b
+    dx = dz @ model.fc_weights
+    grads = {
+        "embed_target": c_t.T @ back_normalize(dx[:, d_img : d_img + d_t], t, t_norms),
+        "embed_extra": c_e.T @ back_normalize(dx[:, d_img + d_t :], e, e_norms),
+        "fc_weights": dz.T @ x,
+        "fc_bias": dz.sum(axis=0),
+    }
+    return loss, grads
+
+
+class TestSparseBatchedPath:
+    def test_loss_and_grad_matches_dense_reference(self):
+        rng = np.random.default_rng(51)
+        model = random_model(rng, v=12, d_t=4, d_e=3, d_img=5, answers=tuple("abcd"))
+        for _ in range(5):
+            batch = []
+            for i in range(10):
+                # words drawn from a small pool so rows share them; counts up to 3
+                target = {int(k): int(rng.integers(1, 4)) for k in rng.choice(5, 3)}
+                extra = {} if i % 3 == 0 else {int(k): int(rng.integers(1, 4))
+                                                for k in rng.choice(6, 2)}
+                if i == 4:
+                    target = {}
+                block = FeatureBlock(l2_normalize(rng.normal(size=5)),
+                                     BowVector(target, 12), BowVector(extra, 12))
+                batch.append((block, int(rng.integers(4))))
+            loss, grads = loss_and_grad(model, batch)
+            ref_loss, ref_grads = dense_loss_and_grad(model, batch)
+            assert abs(loss - ref_loss) <= 1e-12
+            for name, ref in ref_grads.items():
+                np.testing.assert_allclose(getattr(grads, name), ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("with_extras", [False, True])
+    def test_predict_batch_matches_predict(self, with_extras):
+        rng = np.random.default_rng(52)
+        words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
+        vocab = Vocabulary(words)
+        model = random_model(rng, v=len(words), answers=("a", "b", "c", "d", "e"))
+        examples = []
+        for i in range(150):
+            text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
+            extras = None
+            if with_extras and i % 4:
+                extras = [Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))]
+            examples.append((rng.normal(size=4), Question(f"q{i}", i, text), extras))
+        batched = list(predict_batch(model, vocab, examples))
+        assert len(batched) == len(examples)
+        for example, (answer, probs) in zip(examples, batched):
+            one_answer, one_probs = predict(model, vocab, *example)
+            assert answer == one_answer
+            np.testing.assert_allclose(probs, one_probs, rtol=0, atol=1e-12)
+
+    def test_unused_word_keeps_initial_embedding(self):
+        records, features, vocab, exemplars = separable_setup(60)
+        vocab = Vocabulary(list(vocab.words) + ["never"])
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=9,
+                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=5)
+        model = train(exemplars, features, vocab, cfg)
+        rng = np.random.default_rng(9)
+        init_target = rng.uniform(-0.05, 0.05, (len(vocab), 5))
+        init_extra = rng.uniform(-0.05, 0.05, (len(vocab), 5))
+        np.testing.assert_array_equal(model.embed_target[-1], init_target[-1])
+        np.testing.assert_array_equal(model.embed_extra[-1], init_extra[-1])
+        assert not np.array_equal(model.embed_target[:-1], init_target[:-1])
+
+    def test_one_full_batch_epoch_is_one_sgd_step(self):
+        records, features = make_pair_dataset(12, seed=23)
+        vocab = build_vocabulary([q for r in records for q in r.all_questions])
+        exemplars = list(itertools.chain.from_iterable(
+            generate_exemplars(r, AugmentMode.POWERSET) for r in records))
+        cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=len(exemplars), seed=6,
+                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=5)
+        model = train(exemplars, features, vocab, cfg)
+        rng = np.random.default_rng(6)
+        d_img, n_answers = model.dims.d_img, len(model.answer_vocab)
+        initial = LinearModel(
+            embed_target=rng.uniform(-0.05, 0.05, (len(vocab), 5)),
+            embed_extra=rng.uniform(-0.05, 0.05, (len(vocab), 5)),
+            fc_weights=rng.uniform(-0.05, 0.05, (n_answers, d_img + 10)),
+            fc_bias=rng.uniform(-0.05, 0.05, n_answers),
+            answer_vocab=model.answer_vocab,
+        )
+        index = {a: i for i, a in enumerate(model.answer_vocab)}
+        batch = [
+            (make_feature_block(vocab, features[e.image_id], e.target_question, e.extra),
+             index[e.answer])
+            for e in exemplars
+        ]
+        _, grads = loss_and_grad(initial, batch)
+        assert np.abs(grads.embed_extra).max() > 0
+        for name, param in initial.parameters().items():
+            np.testing.assert_allclose(model.parameters()[name], param - 0.5 * getattr(grads, name),
+                                       rtol=0, atol=1e-12)
+
+    def test_epoch_loss_equals_full_batch_loss(self):
+        records, features, vocab, exemplars = separable_setup(60)
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=7, seed=4,
+                          answer_vocab_size=4, weight_init_scale=0.01, embed_dim=6)
+        losses = []
+        model = train(exemplars, features, vocab, cfg, on_epoch_end=lambda e, l: losses.append(l))
+        index = {a: i for i, a in enumerate(model.answer_vocab)}
+        full = [
+            (make_feature_block(vocab, features[e.image_id], e.target_question, e.extra),
+             index[e.answer])
+            for e in exemplars
+        ]
+        loss, _ = loss_and_grad(model, full)
+        assert len(losses) == 2
+        assert abs(losses[-1] - loss) <= 1e-12
