@@ -287,7 +287,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     pairs = _matched_pairs(args.pred, args.dataset)
-    correct = [int(evalstats._answer_match(p, t)) for p, t in pairs]
+    correct = evalstats.correct_flags(pairs)
     lower, upper = evalstats.bootstrap_ci(correct, args.confidence, args.resamples, args.seed)
     payload = {
         "accuracy": sum(correct) / len(correct),

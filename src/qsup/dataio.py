@@ -78,15 +78,26 @@ def _require(record: dict, key: str, context: str):
     return record[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no id
+
+
+def _question_id(record: dict, key: str, context: str) -> str | int:
+    qid = _require(record, key, context)
+    if not (isinstance(qid, str) or _is_int(qid)):
+        raise ParseError(f"{context}: field {key!r} must be a string or an integer")
+    return qid
+
+
 def _parse_question(record: dict, context: str) -> Question:
     if not isinstance(record, dict):
         raise ParseError(f"{context}: expected an object")
-    qid = _require(record, "id", context)
+    qid = _question_id(record, "id", context)
     image_id = _require(record, "image_id", context)
     text = _require(record, "text", context)
     if not isinstance(text, str) or not text.strip():
         raise ParseError(f"{context}: field 'text' must be a non-empty string")
-    if not isinstance(image_id, int):
+    if not _is_int(image_id):
         raise ParseError(f"{context}: field 'image_id' must be an integer")
     answer = record.get("answer")
     choices = record.get("choices")
@@ -134,14 +145,17 @@ def load_dataset(path: str | Path) -> DatasetManifest:
         if not isinstance(record, dict):
             raise ParseError(f"{context}: expected an object")
         image_id = _require(record, "image_id", context)
-        if not isinstance(image_id, int) or image_id < 0:
+        if not _is_int(image_id) or image_id < 0:
             raise ParseError(f"{context}: 'image_id' must be a non-negative integer")
         gt = record.get("gt_labels")
         if gt is not None:
             if not isinstance(gt, list) or not all(isinstance(g, str) for g in gt):
                 raise ParseError(f"{context}: 'gt_labels' must be a list of strings")
             gt = tuple(gt)
-        images.append(ImageEntry(image_id, record.get("feature_ref", image_id), gt))
+        feature_ref = record.get("feature_ref", image_id)
+        if not _is_int(feature_ref) or feature_ref < 0:
+            raise ParseError(f"{context}: 'feature_ref' must be a non-negative integer")
+        images.append(ImageEntry(image_id, feature_ref, gt))
 
     questions = [
         _parse_question(record, f"{path}: questions[{i}]")
@@ -198,16 +212,16 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
             raise ParseError(f"{annotations_path}:{exc.lineno}: {exc.msg}") from exc
         for i, record in enumerate(a_payload.get("annotations", [])):
             context = f"{annotations_path}: annotations[{i}]"
-            qid = _require(record, "question_id", context)
+            qid = _question_id(record, "question_id", context)
             answers[qid] = _require(record, "multiple_choice_answer", context)
 
     questions = []
     for i, record in enumerate(q_payload.get("questions", [])):
         context = f"{questions_path}: questions[{i}]"
-        qid = _require(record, "question_id", context)
+        qid = _question_id(record, "question_id", context)
         image_id = _require(record, "image_id", context)
         text = _require(record, "question", context)
-        if not isinstance(image_id, int):
+        if not _is_int(image_id):
             raise ParseError(f"{context}: 'image_id' must be an integer")
         choices = record.get("multiple_choices")
         if choices is not None:

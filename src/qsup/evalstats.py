@@ -22,6 +22,7 @@ __all__ = [
     "mean_average_precision",
     "classify_answer_type",
     "vqa_accuracy",
+    "correct_flags",
     "bootstrap_ci",
 ]
 
@@ -203,6 +204,12 @@ def vqa_accuracy(
     n_examples = {t: len(v) for t, v in scores.items() if v}
     overall = float(np.mean([s for v in scores.values() for s in v]))
     return AccuracyReport(overall, by_type, n_examples)
+
+
+def correct_flags(predictions: Sequence[tuple[str, str]]) -> list[int]:
+    """1 for each (predicted, ground-truth) answer pair that matches under
+    ``vqa_accuracy``'s single-answer rule, else 0."""
+    return [int(_answer_match(pred, truth)) for pred, truth in predictions]
 
 
 def bootstrap_ci(

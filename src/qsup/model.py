@@ -3,21 +3,30 @@
 The representation concatenates three independently L2-normalized blocks:
 ingested image features, an embedded bag-of-words of the target question,
 and an embedded bag-of-words of the extra questions concatenated together.
-A learned affine layer plus softmax predicts the answer class.  One batched
-forward pass, over count matrices of just the words a batch uses, serves
-training, the full-data loss and predict (64 examples at a time).  Training
-is plain mini-batch SGD with analytic gradients, including the Jacobian of
-the L2 normalization applied to the two text blocks; each step updates only
-the embedding rows of words in the batch, the only rows with a gradient.
+A learned affine layer plus softmax predicts the answer class.
+
+``train`` and ``predict_batch`` tokenize each distinct question text once
+into one bag-of-words row (CSR arrays of positions, counts and row offsets)
+and describe each example by indices: an image row, the target question's
+row and the extra questions' rows.  The extra block's bag is the sum of its
+rows, since joining texts with a space never merges tokens.  A batch's count
+matrix gathers those rows over just the words the batch uses, and one
+batched forward pass over it serves training, the full-data loss and predict
+(64 examples at a time).  Training is plain mini-batch SGD with analytic
+gradients, including the Jacobian of the L2 normalization applied to the two
+text blocks; each step updates only the embedding rows of words in the
+batch, the only rows with a gradient.  The one-example API (``FeatureBlock``,
+``forward``, ``loss_and_grad``) builds its batches the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,21 +161,98 @@ class TrainConfig:
 # building blocks
 
 
-def _embed_bags(bags: Sequence[BowVector], embedding: np.ndarray):
-    """Embed bags over just the words they use: the sorted positions of those
-    words, the (bags, words) count matrix and the (bags, dim) embedded sums."""
-    v = embedding.shape[0]
+class _Bags(NamedTuple):
+    """Bags of words as CSR rows: row r counts ``counts[ptr[r]:ptr[r + 1]]``
+    of the words at ``positions[ptr[r]:ptr[r + 1]]``."""
+
+    ptr: np.ndarray
+    positions: np.ndarray
+    counts: np.ndarray
+
+
+class _Examples(NamedTuple):
+    """Examples as indices.  Example i has the image ``images[image_rows[i]]``;
+    for each text block, (ptr, rows) in ``texts``, its bag is the sum of the
+    bag rows ``rows[ptr[i]:ptr[i + 1]]``: one row for the target question,
+    one per extra question.  This holds because joining texts with a space
+    never merges tokens, so the bag of the joined extras is the sum of the
+    bags of each."""
+
+    images: np.ndarray
+    image_rows: np.ndarray
+    bags: _Bags
+    texts: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _bag_rows(bags: Sequence[BowVector], vocab_size: int) -> _Bags:
     for bag in bags:
-        if bag.vocab_size != v:
-            raise DimMismatch(f"bow over {bag.vocab_size} words vs embedding with {v} rows")
-    sizes = [len(bag.entries) for bag in bags]
+        if bag.vocab_size != vocab_size:
+            raise DimMismatch(f"bow over {bag.vocab_size} words vs {vocab_size} embedding rows")
+    ptr = np.zeros(len(bags) + 1, np.intp)
+    np.cumsum([len(bag.entries) for bag in bags], out=ptr[1:])
     chain = itertools.chain.from_iterable
-    positions = np.fromiter(chain(bag.entries for bag in bags), np.intp, sum(sizes))
-    counts = np.fromiter(chain(bag.entries.values() for bag in bags), np.float64, sum(sizes))
-    words, cols = np.unique(positions, return_inverse=True)
-    matrix = np.zeros((len(bags), len(words)))
-    matrix[np.repeat(np.arange(len(bags)), sizes), cols] = counts
-    return words, matrix, matrix @ embedding[words]
+    positions = np.fromiter(chain(bag.entries for bag in bags), np.intp, ptr[-1])
+    counts = np.fromiter(chain(bag.entries.values() for bag in bags), np.float64, ptr[-1])
+    return _Bags(ptr, positions, counts)
+
+
+def _image_matrix(vectors: Sequence[np.ndarray], d_img: int) -> np.ndarray:
+    for vec in vectors:
+        if np.shape(vec) != (d_img,):
+            raise DimMismatch(f"image block has shape {np.shape(vec)}, expected ({d_img},)")
+    return np.array(vectors, dtype=np.float64)
+
+
+def _index_examples(
+    images: np.ndarray,
+    items: Iterable[tuple[int, Hashable, Sequence[Hashable]]],
+    bag_of: Callable[[Hashable], BowVector],
+    vocab_size: int,
+) -> _Examples:
+    """Index (image row, target key, extra keys) items, where a key names a
+    bag (a question text, say); ``bag_of`` is called once per distinct key."""
+    rows: dict[Hashable, int] = {}
+    image_rows, target_rows, extra_rows, extra_ptr = [], [], [], [0]
+    for image_row, target, extras in items:
+        image_rows.append(image_row)
+        target_rows.append(rows.setdefault(target, len(rows)))
+        extra_rows.extend(rows.setdefault(key, len(rows)) for key in extras)
+        extra_ptr.append(len(extra_rows))
+    n = len(image_rows)
+    return _Examples(
+        images,
+        np.array(image_rows, np.intp),
+        _bag_rows([bag_of(key) for key in rows], vocab_size),
+        ((np.arange(n + 1), np.array(target_rows, np.intp)),
+         (np.array(extra_ptr, np.intp), np.array(extra_rows, np.intp))),
+    )
+
+
+def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the elements of CSR segments ``idx``, and for each
+    element its segment's place in ``idx``."""
+    starts = ptr[idx]
+    sizes = ptr[idx + 1] - starts
+    owners = np.repeat(np.arange(len(idx)), sizes)
+    return np.arange(len(owners)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), owners
+
+
+def _count_matrix(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, idx: np.ndarray):
+    """(words, counts) for examples ``idx`` of one text block: the sorted
+    positions of the words they use and the (examples, words) matrix of the
+    summed counts of each example's bag rows."""
+    lists, examples = _segments(ptr, idx)
+    slots, owners = _segments(bags.ptr, rows[lists])
+    words, cols = np.unique(bags.positions[slots], return_inverse=True)
+    counts = np.zeros((len(idx), len(words)))
+    np.add.at(counts, (examples[owners], cols), bags.counts[slots])
+    return words, counts
+
+
+def _batch(examples: _Examples, idx: np.ndarray):
+    """(image rows, (words, counts) per text block) for examples ``idx``."""
+    texts = [_count_matrix(examples.bags, ptr, rows, idx) for ptr, rows in examples.texts]
+    return examples.images[examples.image_rows[idx]], texts
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +264,14 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
-    return _embed_bags([counts], embedding)[2][0]
+    one = np.arange(1)
+    words, matrix = _count_matrix(_bag_rows([counts], embedding.shape[0]), np.arange(2), one, one)
+    return (matrix @ embedding[words])[0]
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, with vectors of near-zero norm returned unchanged."""
+    """v / ||v|| (row by row for a matrix), with vectors of near-zero norm
+    returned unchanged."""
     return _normalize_rows(np.asarray(v))[0]
 
 
@@ -201,51 +290,56 @@ def make_feature_block(
     )
 
 
-def _forward(model: LinearModel, blocks: Sequence[FeatureBlock]):
-    """(log_probs, x, texts) for a batch: x is the concatenated normalized
-    input and texts holds (word positions, counts, norms) per text block."""
-    d_img = model.dims.d_img
-    for block in blocks:
-        if block.image.shape != (d_img,):
-            raise DimMismatch(f"image block has shape {block.image.shape}, expected ({d_img},)")
-    parts = [np.stack([block.image for block in blocks])]
-    texts = []
-    for bags, embedding in (([b.target_bow for b in blocks], model.embed_target),
-                            ([b.extra_bow for b in blocks], model.embed_extra)):
-        words, counts, raw = _embed_bags(bags, embedding)
-        normed, norms = _normalize_rows(raw)
+def _forward(model: LinearModel, batch):
+    """(log_probs, x, norms) for a batch from ``_batch``: x is the
+    concatenated normalized input and norms holds the raw norms of each
+    text block."""
+    images, texts = batch
+    parts, norms = [images], []
+    for (words, counts), embedding in zip(texts, (model.embed_target, model.embed_extra)):
+        normed, raw_norms = _normalize_rows(counts @ embedding[words])
         parts.append(normed)
-        texts.append((words, counts, norms))
+        norms.append(raw_norms)
     x = np.concatenate(parts, axis=1)
     z = x @ model.fc_weights.T + model.fc_bias
     z -= z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True)), x, texts
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True)), x, norms
+
+
+def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
+    """A batch of feature blocks, each indexed as its own two bags."""
+    n = len(blocks)
+    bags = [b.target_bow for b in blocks] + [b.extra_bow for b in blocks]
+    images = _image_matrix([b.image for b in blocks], model.dims.d_img)
+    items = ((i, i, [n + i]) for i in range(n))
+    return _batch(_index_examples(images, items, bags.__getitem__, model.vocab_size), np.arange(n))
 
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
     """Probability vector over answers for one feature block."""
-    return np.exp(_forward(model, [block])[0][0])
+    return np.exp(_forward(model, _block_batch(model, [block]))[0][0])
 
 
 # ---------------------------------------------------------------------------
 # loss and gradients
 
 
-def _backward(model: LinearModel, blocks: Sequence[FeatureBlock], labels: np.ndarray):
+def _backward(model: LinearModel, batch, labels: np.ndarray):
     """(loss, d fc_weights, d fc_bias, text rows) of the batch's mean cross-entropy;
     text rows holds (word positions, gradient rows) for each embedding, whose
     other rows have zero gradient."""
-    log_probs, x, texts = _forward(model, blocks)
-    picked = np.arange(len(blocks)), labels
+    log_probs, x, text_norms = _forward(model, batch)
+    picked = np.arange(len(labels)), labels
     loss = float(-log_probs[picked].mean())
     dz = np.exp(log_probs)
     dz[picked] -= 1.0
-    dz /= len(blocks)
+    dz /= len(labels)
 
     d_img, d_t, _, _ = model.dims
     dx = dz @ model.fc_weights
     text_rows = []
-    for (words, counts, norms), lo, hi in zip(texts, (d_img, d_img + d_t), (d_img + d_t, None)):
+    bounds = zip(batch[1], text_norms, (d_img, d_img + d_t), (d_img + d_t, None))
+    for (words, counts), norms, lo, hi in bounds:
         g, normed = dx[:, lo:hi], x[:, lo:hi]
         safe = norms > _NORM_EPS
         inner = (g * normed).sum(axis=1, keepdims=True)
@@ -272,7 +366,7 @@ def loss_and_grad(
     n_answers = len(model.answer_vocab)
     if not ((labels >= 0) & (labels < n_answers)).all():
         raise ValueError(f"labels outside answer vocabulary of {n_answers}: {labels}")
-    loss, d_weights, d_bias, text_rows = _backward(model, blocks, labels)
+    loss, d_weights, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
     d_embed = [np.zeros_like(model.embed_target), np.zeros_like(model.embed_extra)]
     for grad, (words, rows) in zip(d_embed, text_rows):
         grad[words] = rows
@@ -319,24 +413,25 @@ def train(
     if not kept:
         raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
 
-    image_cache: dict[int, np.ndarray] = {}
-
-    def image_vec(image_id: int) -> np.ndarray:
-        if image_id not in image_cache:
-            if image_id not in features:
-                raise DanglingReference(f"no features for image {image_id}")
-            image_cache[image_id] = l2_normalize(
-                np.asarray(features[image_id], dtype=np.float64)
-            )
-        return image_cache[image_id]
-
-    blocks = [
-        make_feature_block(vocab, image_vec(e.image_id), e.target_question, e.extra)
-        for e in kept
-    ]
+    image_ids = list(dict.fromkeys(e.image_id for e in kept))  # in order of first use
+    for image_id in image_ids:
+        if image_id not in features:
+            raise DanglingReference(f"no features for image {image_id}")
+    image_rows = {image_id: row for row, image_id in enumerate(image_ids)}
+    vectors = [features[image_id] for image_id in image_ids]
+    d_img = np.shape(vectors[0])[0]
+    # normalized twice, as by make_feature_block on a normalized vector, so
+    # that results stay bit for bit those of per-example blocks
+    images = l2_normalize(l2_normalize(_image_matrix(vectors, d_img)))
+    examples = _index_examples(
+        images,
+        ((image_rows[e.image_id], e.target_question.text, [q.text for q in e.extra])
+         for e in kept),
+        functools.partial(bow_featurize, vocab=vocab),
+        len(vocab),
+    )
     labels = np.array([answer_index[e.answer] for e in kept], dtype=np.int64)
 
-    d_img = blocks[0].image.shape[0]
     d = config.embed_dim
     n_answers = len(answer_vocab)
     v = len(vocab)
@@ -350,14 +445,14 @@ def train(
         answer_vocab=answer_vocab,
     )
 
-    n = len(blocks)
+    n = len(kept)
     lr = config.learning_rate
     chunks = range(0, n, config.batch_size)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for lo in chunks:
             idx = order[lo : lo + config.batch_size]
-            _, d_weights, d_bias, embeds = _backward(model, [blocks[i] for i in idx], labels[idx])
+            _, d_weights, d_bias, embeds = _backward(model, _batch(examples, idx), labels[idx])
             model.fc_weights -= lr * d_weights
             model.fc_bias -= lr * d_bias
             for embedding, (words, rows) in zip((model.embed_target, model.embed_extra), embeds):
@@ -368,9 +463,9 @@ def train(
         if on_epoch_end is not None:
             nll = 0.0
             for lo in chunks:
-                hi = lo + config.batch_size
-                log_probs = _forward(model, blocks[lo:hi])[0]
-                nll -= log_probs[np.arange(len(log_probs)), labels[lo:hi]].sum()
+                idx = np.arange(lo, min(lo + config.batch_size, n))
+                log_probs = _forward(model, _batch(examples, idx))[0]
+                nll -= log_probs[np.arange(len(idx)), labels[idx]].sum()
             on_epoch_end(epoch, float(nll / n))
     return model
 
@@ -401,11 +496,16 @@ def predict_batch(
     examples: Iterable[tuple[np.ndarray, Question, Sequence[Question] | None]],
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Generate ``predict`` results for (image_feat, target_q, extra_qs)
-    examples in order, 64 per forward pass, so memory stays bounded."""
+    examples in order, 64 per forward pass.  Each distinct question text is
+    tokenized once per call; its bag is kept for later chunks."""
+    bag_of = functools.cache(functools.partial(bow_featurize, vocab=vocab))
     examples = iter(examples)
     while chunk := list(itertools.islice(examples, _PREDICT_CHUNK)):
-        blocks = [make_feature_block(vocab, *example) for example in chunk]
-        for probs in np.exp(_forward(model, blocks)[0]):
+        images = l2_normalize(_image_matrix([ex[0] for ex in chunk], model.dims.d_img))
+        items = ((i, q.text, [x.text for x in extras or ()])
+                 for i, (_, q, extras) in enumerate(chunk))
+        indexed = _index_examples(images, items, bag_of, model.vocab_size)
+        for probs in np.exp(_forward(model, _batch(indexed, np.arange(len(chunk))))[0]):
             yield model.answer_vocab[int(np.argmax(probs))], probs  # ties: lowest index
 
 

@@ -243,6 +243,16 @@ def _labels_outside_vocabulary(base):
             "--dataset", str(base / "gt.json"), "--out-prefix", str(base / "pr")]
 
 
+def _manifest_with(base, image=None, question=None):
+    """A one-question manifest whose image and question records gain the given fields."""
+    (base / "odd.json").write_text(json.dumps({
+        "images": [{"image_id": 1, **(image or {})}],
+        "questions": [{"id": "q1", "image_id": 1, "text": "What color is the bus?",
+                       "answer": "red", **(question or {})}],
+    }))
+    return base / "odd.json"
+
+
 # (argv built from the pair_setup directory, expected exit code):
 # 1 = bad flag value or combination, 2 = bad data
 CONTRACT_CASES = {
@@ -271,6 +281,18 @@ CONTRACT_CASES = {
                    "--out-prefix", str(b / "r")], 1),
     "eval_extraction_label_outside_vocabulary": (_labels_outside_vocabulary, 2),
     "train_config_sets_momentum": (_config_with_momentum, 2),
+    "augment_list_question_id": (
+        lambda b: ["augment", "--in", str(_manifest_with(b, question={"id": [1]})),
+                   "--out", str(b / "e.jsonl")], 2),
+    "extract_dict_question_id": (
+        lambda b: ["extract", "--questions", str(_manifest_with(b, question={"id": {"a": 1}})),
+                   "--out", str(b / "l.jsonl")], 2),
+    "augment_float_question_id": (
+        lambda b: ["augment", "--in", str(_manifest_with(b, question={"id": 1.5})),
+                   "--out", str(b / "e.jsonl")], 2),
+    "augment_text_feature_ref": (
+        lambda b: ["augment", "--in", str(_manifest_with(b, image={"feature_ref": "x"})),
+                   "--out", str(b / "e.jsonl")], 2),
 }
 
 

@@ -323,3 +323,38 @@ def test_vqa_adapter_lists_images_in_first_appearance_order(tmp_path):
     manifest = load_vqa_dataset(q_path)
     assert [e.image_id for e in manifest.images] == [1, 2, 3]
     assert [q.image_id for q in manifest.questions] == [1, 2, 1, 3, 2]
+
+
+@pytest.mark.parametrize("bad_id", [[1], {"a": 1}, 1.5, True])
+def test_vqa_adapter_rejects_non_scalar_question_ids(tmp_path, bad_id):
+    q_path = tmp_path / "questions.json"
+    a_path = tmp_path / "annotations.json"
+    q_path.write_text(json.dumps({
+        "questions": [{"question_id": 1, "image_id": 5, "question": "What is it?"}]
+    }))
+    a_path.write_text(json.dumps({
+        "annotations": [{"question_id": bad_id, "multiple_choice_answer": "cat"}]
+    }))
+    with pytest.raises(ParseError):
+        load_vqa_dataset(q_path, a_path)
+    q_path.write_text(json.dumps({
+        "questions": [{"question_id": bad_id, "image_id": 5, "question": "What is it?"}]
+    }))
+    with pytest.raises(ParseError):
+        load_vqa_dataset(q_path)
+
+
+@pytest.mark.parametrize("image, question", [
+    ({"image_id": True}, {"image_id": True}),
+    ({"image_id": 1, "feature_ref": True}, {"image_id": 1}),
+    ({"image_id": 1, "feature_ref": -1}, {"image_id": 1}),
+    ({"image_id": 1}, {"image_id": 1, "id": False}),
+])
+def test_manifest_rejects_booleans_and_negative_feature_refs(tmp_path, image, question):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({
+        "images": [image],
+        "questions": [{"id": "q1", "text": "What is it?", **question}],
+    }))
+    with pytest.raises(ParseError):
+        load_dataset(path)

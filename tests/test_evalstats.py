@@ -8,6 +8,7 @@ from qsup.evalstats import (
     AnswerType,
     bootstrap_ci,
     classify_answer_type,
+    correct_flags,
     fuse_max,
     mean_average_precision,
     per_class_pr,
@@ -220,6 +221,11 @@ class TestVqaAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vqa_accuracy([])
+
+    def test_correct_flags_mean_is_accuracy(self):
+        pairs = [("yes", "yes"), ("no", "yes"), ("dog", "a dog"), ("The Wall ", "wall")]
+        assert correct_flags(pairs) == [1, 0, 1, 1]
+        assert sum(correct_flags(pairs)) / len(pairs) == vqa_accuracy(pairs).overall
 
 
 class TestBootstrapCi:

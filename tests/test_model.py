@@ -1,10 +1,12 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qsup.augment import AugmentMode, generate_exemplars
+import qsup.vocab as vocab_module
+from qsup.augment import AugmentMode, ImageRecord, generate_exemplars
 from qsup.errors import DimMismatch, EmptyBatch, NoTrainableExemplars
 from qsup.model import (
     FeatureBlock,
@@ -21,7 +23,7 @@ from qsup.model import (
     predict_multiple_choice,
     train,
 )
-from qsup.qparse import Question
+from qsup.qparse import Question, tokenize
 from qsup.synth import answer_accuracy, make_pair_dataset, make_separable_dataset
 from qsup.vocab import BowVector, Vocabulary, build_vocabulary
 
@@ -480,3 +482,90 @@ class TestSparseBatchedPath:
         loss, _ = loss_and_grad(model, full)
         assert len(losses) == 2
         assert abs(losses[-1] - loss) <= 1e-12
+
+
+def shared_text_setup():
+    """Two images whose questions share words, repeat a text under another
+    id and, in powerset mode, include exemplars with no extras."""
+    images = [
+        ImageRecord(1, (Question("q1", 1, "What color is the cat?", "black"),
+                        Question("q2", 1, "Is the cat on the mat?", "yes")),
+                    (Question("q3", 1, "What color is the cat?"),)),
+        ImageRecord(2, (Question("q4", 2, "How many dogs are on the mat?", "2"),),
+                    (Question("q5", 2, "Is the dog-house red?"),
+                     Question("q6", 2, "is THE dog house red"))),
+    ]
+    rng = np.random.default_rng(31)
+    features = {r.image_id: rng.normal(size=4) for r in images}
+    vocab = build_vocabulary([q for r in images for q in r.all_questions])
+    exemplars = list(itertools.chain.from_iterable(
+        generate_exemplars(r, AugmentMode.POWERSET) for r in images))
+    return images, features, vocab, exemplars
+
+
+def reference_train(exemplars, features, vocab, cfg):
+    """``train`` written as SGD steps of ``loss_and_grad`` over per-exemplar
+    feature blocks, drawing the initialization and the permutations in the
+    same order."""
+    answer_vocab = build_answer_vocab((e.answer for e in exemplars), cfg.answer_vocab_size)
+    index = {a: i for i, a in enumerate(answer_vocab)}
+    batch = [
+        (make_feature_block(vocab, l2_normalize(features[e.image_id]), e.target_question,
+                            e.extra), index[e.answer])
+        for e in exemplars if e.answer in index
+    ]
+    rng = np.random.default_rng(cfg.seed)
+    s, d, v = cfg.weight_init_scale, cfg.embed_dim, len(vocab)
+    d_img = batch[0][0].image.shape[0]
+    model = LinearModel(
+        embed_target=rng.uniform(-s, s, (v, d)),
+        embed_extra=rng.uniform(-s, s, (v, d)),
+        fc_weights=rng.uniform(-s, s, (len(answer_vocab), d_img + 2 * d)),
+        fc_bias=rng.uniform(-s, s, len(answer_vocab)),
+        answer_vocab=answer_vocab,
+    )
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(batch))
+        for lo in range(0, len(batch), cfg.batch_size):
+            _, grads = loss_and_grad(model, [batch[i] for i in order[lo : lo + cfg.batch_size]])
+            for name, param in model.parameters().items():
+                param -= cfg.learning_rate * getattr(grads, name)
+    return model
+
+
+class TestQuestionRows:
+    def test_train_equals_loss_and_grad_steps_over_feature_blocks(self):
+        _, features, vocab, exemplars = shared_text_setup()
+        assert any(not e.extra for e in exemplars)
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=5, seed=8,
+                          answer_vocab_size=3, weight_init_scale=0.05, embed_dim=6)
+        model = train(exemplars, features, vocab, cfg)
+        reference = reference_train(exemplars, features, vocab, cfg)
+        assert model.answer_vocab == reference.answer_vocab
+        for name, param in reference.parameters().items():
+            assert np.array_equal(model.parameters()[name], param), name
+
+    def test_each_distinct_question_text_is_tokenized_once(self, monkeypatch):
+        images, features, vocab, exemplars = shared_text_setup()
+        texts = {q.text for r in images for q in r.all_questions}
+        calls = Counter()
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(vocab_module, "tokenize", counting_tokenize)
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=5, seed=8,
+                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=6)
+        model = train(exemplars, features, vocab, cfg)
+        assert set(calls) == texts
+        assert max(calls.values()) == 1
+
+        calls.clear()
+        examples = [
+            (features[r.image_id], q, [x for x in r.all_questions if x.id != q.id])
+            for r in images for q in r.all_questions
+        ] * 30  # spans three 64-example chunks
+        assert len(list(predict_batch(model, vocab, examples))) == len(examples)
+        assert set(calls) == texts
+        assert max(calls.values()) == 1

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsup.errors import EmptyCorpus, KTooLarge, UnknownMode
-from qsup.qparse import Question
+from qsup.qparse import Question, tokenize
 from qsup.vocab import (
     BowVector,
     Vocabulary,
@@ -72,6 +72,23 @@ class TestBowFeaturize:
         vocab = Vocabulary(["the", "cat", "sat"])
         joined = bow_featurize(" ".join(a) + " " + " ".join(b), vocab)
         assert joined == bow_featurize(" ".join(a), vocab) + bow_featurize(" ".join(b), vocab)
+
+    @given(texts=st.lists(
+        st.one_of(
+            st.sampled_from(["a-", "-b", "", " ", "\t\n", "Σ", "ΑΣ", "ΟΔΟΣ.", "co-op's", "?!"]),
+            st.text(alphabet="aBΣσς-.,'! \t", max_size=10),
+        ),
+        max_size=6,
+    ))
+    def test_joined_texts_bag_is_sum_of_per_text_bags(self, texts):
+        # capital sigma lowercases by context: final "ς" or medial "σ"
+        joined = " ".join(texts)
+        words = set(tokenize(joined)).union(*(tokenize(t) for t in texts))
+        vocab = Vocabulary(sorted(words))
+        total = BowVector({}, len(vocab))
+        for text in texts:
+            total = total + bow_featurize(text, vocab)
+        assert bow_featurize(joined, vocab) == total
 
     @given(tokens=st.lists(st.sampled_from(["the", "cat", "sat"]), max_size=8))
     def test_order_invariance(self, tokens):
