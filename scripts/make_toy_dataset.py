@@ -9,7 +9,6 @@ Gives the CLI walkthrough in the README something to chew on:
 
 import argparse
 import json
-from importlib import resources
 from pathlib import Path
 
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
@@ -34,20 +33,9 @@ def main():
     save_dataset(manifest, out / "data.json")
     save_features(features, out / "features.qvft")
 
-    # copies of the packaged tables so the config is self-contained
-    data = resources.files("qsup").joinpath("data")
-    (out / "question_types.txt").write_text(
-        data.joinpath("question_types.txt").read_text("utf-8")
-    )
-    (out / "object_vocab.txt").write_text(
-        data.joinpath("object_vocab.txt").read_text("utf-8")
-    )
-
     config = {
         "dataset": "data.json",
         "features": "features.qvft",
-        "types": "question_types.txt",
-        "object_vocab": "object_vocab.txt",
         "out_dir": "out",
         "seed": args.seed,
         "augment_mode": "powerset",

@@ -54,9 +54,6 @@ class ImageRecord:
     def all_questions(self) -> tuple[Question, ...]:
         return self.answered + self.unanswered
 
-    def resolved_feature_ref(self) -> int:
-        return self.image_id if self.feature_ref is None else self.feature_ref
-
 
 @dataclass(frozen=True)
 class Exemplar:

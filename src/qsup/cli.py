@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -132,7 +133,7 @@ def _cmd_train(args) -> int:
     feature_file = dataio.load_features(cfg.features)
     features = {}
     for record in records:
-        ref = record.resolved_feature_ref()
+        ref = record.feature_ref
         if ref not in feature_file:
             raise DanglingReference(f"image {record.image_id}: no features under ref {ref}")
         features[record.image_id] = feature_file[ref]
@@ -150,7 +151,7 @@ def _cmd_train(args) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, cfg.out_dir / "model.qsmd")
     vocabmod.save_vocabulary(text_vocab, cfg.out_dir / "vocab.txt")
-    _write_snapshot(cfg.out_dir, "train", dataio.run_config_snapshot(cfg))
+    _write_snapshot(cfg.out_dir, "train", dataclasses.asdict(cfg))
     print(
         f"trained model over {len(text_vocab)} words and "
         f"{len(model.answer_vocab)} answers -> {cfg.out_dir / 'model.qsmd'}"
@@ -186,35 +187,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str, *keys: str):
-    """Yield (line number, record) for each non-blank line; records must be
-    objects holding ``keys``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise dataio.ParseError(f"{path}:{lineno}: {exc.msg}") from exc
-            if not isinstance(record, dict) or not all(k in record for k in keys):
-                raise dataio.ParseError(f"{path}:{lineno}: need {' and '.join(keys)}")
-            yield lineno, record
-
-
-def _load_predictions(path: str) -> dict:
-    return {r["question_id"]: r["answer"] for _, r in _read_jsonl(path, "question_id", "answer")}
-
-
 def _label_set(labels, classes: tuple[str, ...], context: str) -> qparse.LabelSet:
     try:
         return qparse.LabelSet(frozenset(labels), classes)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise dataio.ParseError(f"{context}: {exc}") from exc
 
 
 def _matched_pairs(pred_path: str, dataset_path: str) -> list[tuple[str, str]]:
-    predictions = _load_predictions(pred_path)
+    predictions = dataio.load_predictions(pred_path)
     manifest = dataio.load_dataset(dataset_path)
     pairs = []
     for q in manifest.questions:
@@ -247,8 +228,8 @@ def _cmd_eval(args) -> int:
         manifest = dataio.load_dataset(args.dataset)
         truth, predicted = [], []
         labels_by_image = {
-            r["image_id"]: _label_set(r["labels"], classes, f"{args.labels}:{lineno}")
-            for lineno, r in _read_jsonl(args.labels, "image_id", "labels")
+            image_id: _label_set(labels, classes, f"{args.labels}: image {image_id}")
+            for image_id, labels in dataio.load_labels(args.labels).items()
         }
         for entry in manifest.images:
             if entry.gt_labels is None:

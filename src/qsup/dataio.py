@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,8 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "load_vqa_dataset",
+    "load_predictions",
+    "load_labels",
     "build_image_records",
     "questions_by_image",
     "save_features",
@@ -69,42 +72,90 @@ class DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# manifest JSON
+# JSON inputs: every reader checks its fields with _field
 
 
-def _require(record: dict, key: str, context: str):
+def _read_json(path: str | Path, lines: bool = False):
+    """The JSON object in ``path``; with ``lines``, a list of (line number,
+    object) for each non-blank line of a JSONL file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    if lines:
+        chunks = [(n, c) for n, c in enumerate(text.split("\n"), start=1) if c.strip()]
+    else:
+        chunks = [(1, text)]
+    values = []
+    for first, chunk in chunks:
+        try:
+            value = json.loads(chunk)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{first + exc.lineno - 1}: {exc.msg}") from exc
+        if not isinstance(value, dict):
+            raise ParseError(f"{path}:{first}: expected an object")
+        values.append((first, value))
+    return values if lines else values[0][1]
+
+
+_REQUIRED = object()
+
+
+def _field(record: dict, key: str, kind: tuple, context: str, default=_REQUIRED):
+    """``record[key]`` if the check of ``kind``, a (check, what) pair,
+    accepts it; an optional field that is absent or null gives ``default``.
+    Anything else is a ParseError saying the field must be ``what``."""
+    check, what = kind
+    value = record.get(key)
+    if check(value):
+        return value
+    if value is None and default is not _REQUIRED:
+        return default
     if key not in record:
         raise ParseError(f"{context}: missing field {key!r}")
-    return record[key]
+    raise ParseError(f"{context}: field {key!r} must be {what}")
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no id
+    return type(value) is int  # JSON true decodes to bool, an int subclass
 
 
-def _question_id(record: dict, key: str, context: str) -> str | int:
-    qid = _require(record, key, context)
-    if not (isinstance(qid, str) or _is_int(qid)):
-        raise ParseError(f"{context}: field {key!r} must be a string or an integer")
-    return qid
+# (check, what) kinds for _field; no check accepts None
+_INT = (_is_int, "an integer")
+_INDEX = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NUMBER = (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)), "a finite number")
+_STR = (lambda v: isinstance(v, str), "a string")
+_TEXT = (lambda v: isinstance(v, str) and bool(v.strip()), "a non-empty string")
+_ID = (lambda v: type(v) in (str, int), "a string or an integer")
+_STRINGS = (
+    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"
+)
+_LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
-def _parse_question(record: dict, context: str) -> Question:
-    if not isinstance(record, dict):
-        raise ParseError(f"{context}: expected an object")
-    qid = _question_id(record, "id", context)
-    image_id = _require(record, "image_id", context)
-    text = _require(record, "text", context)
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError(f"{context}: field 'text' must be a non-empty string")
-    if not _is_int(image_id):
-        raise ParseError(f"{context}: field 'image_id' must be an integer")
-    answer = record.get("answer")
-    choices = record.get("choices")
-    if choices is not None:
-        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
-            raise ParseError(f"{context}: field 'choices' must be a list of strings")
-        choices = tuple(choices)
+def _records(payload: dict, key: str, context: str):
+    """(context, record) for each object in the list ``payload[key]``."""
+    prefix = f"{context}: {key}"
+    for i, record in enumerate(_field(payload, key, _LIST, context, [])):
+        if not isinstance(record, dict):
+            raise ParseError(f"{prefix}[{i}]: expected an object")
+        yield f"{prefix}[{i}]", record
+
+
+def _parse_question(
+    record: dict, context: str, keys=("id", "text", "choices"), answers: dict | None = None
+) -> Question:
+    """A question from its id, text and choices ``keys``; its answer is the
+    record's own ``answer`` or, given ``answers``, looked up there by id."""
+    id_key, text_key, choices_key = keys
+    qid = _field(record, id_key, _ID, context)
+    image_id = _field(record, "image_id", _INT, context)
+    text = _field(record, text_key, _TEXT, context)
+    choices = _field(record, choices_key, _STRINGS, context, None)
+    answer = _field(record, "answer", _STR, context, None) if answers is None else answers.get(qid)
     try:
         return Question(qid, image_id, text, answer, choices)
     except ValueError as exc:
@@ -131,36 +182,14 @@ def _validate_manifest(images: list[ImageEntry], questions: list[Question]) -> D
 
 def load_dataset(path: str | Path) -> DatasetManifest:
     """Read and validate a dataset manifest (native JSON layout)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: top level must be an object")
-
+    payload = _read_json(path)
     images = []
-    for i, record in enumerate(payload.get("images", [])):
-        context = f"{path}: images[{i}]"
-        if not isinstance(record, dict):
-            raise ParseError(f"{context}: expected an object")
-        image_id = _require(record, "image_id", context)
-        if not _is_int(image_id) or image_id < 0:
-            raise ParseError(f"{context}: 'image_id' must be a non-negative integer")
-        gt = record.get("gt_labels")
-        if gt is not None:
-            if not isinstance(gt, list) or not all(isinstance(g, str) for g in gt):
-                raise ParseError(f"{context}: 'gt_labels' must be a list of strings")
-            gt = tuple(gt)
-        feature_ref = record.get("feature_ref", image_id)
-        if not _is_int(feature_ref) or feature_ref < 0:
-            raise ParseError(f"{context}: 'feature_ref' must be a non-negative integer")
-        images.append(ImageEntry(image_id, feature_ref, gt))
-
-    questions = [
-        _parse_question(record, f"{path}: questions[{i}]")
-        for i, record in enumerate(payload.get("questions", []))
-    ]
+    for context, record in _records(payload, "images", path):
+        image_id = _field(record, "image_id", _INDEX, context)
+        gt = _field(record, "gt_labels", _STRINGS, context, None)
+        feature_ref = _field(record, "feature_ref", _INDEX, context, image_id)
+        images.append(ImageEntry(image_id, feature_ref, None if gt is None else tuple(gt)))
+    questions = [_parse_question(r, context) for context, r in _records(payload, "questions", path)]
     return _validate_manifest(images, questions)
 
 
@@ -197,43 +226,41 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
     multiple_choices?}]}; the optional annotations file holds
     {"annotations": [{question_id, multiple_choice_answer}]}.
     """
-    try:
-        with open(questions_path, encoding="utf-8") as fh:
-            q_payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{questions_path}:{exc.lineno}: {exc.msg}") from exc
-
     answers: dict = {}
     if annotations_path is not None:
-        try:
-            with open(annotations_path, encoding="utf-8") as fh:
-                a_payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{annotations_path}:{exc.lineno}: {exc.msg}") from exc
-        for i, record in enumerate(a_payload.get("annotations", [])):
-            context = f"{annotations_path}: annotations[{i}]"
-            qid = _question_id(record, "question_id", context)
-            answers[qid] = _require(record, "multiple_choice_answer", context)
-
-    questions = []
-    for i, record in enumerate(q_payload.get("questions", [])):
-        context = f"{questions_path}: questions[{i}]"
-        qid = _question_id(record, "question_id", context)
-        image_id = _require(record, "image_id", context)
-        text = _require(record, "question", context)
-        if not _is_int(image_id):
-            raise ParseError(f"{context}: 'image_id' must be an integer")
-        choices = record.get("multiple_choices")
-        if choices is not None:
-            choices = tuple(choices)
-        try:
-            questions.append(Question(qid, image_id, text, answers.get(qid), choices))
-        except ValueError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
-
+        payload = _read_json(annotations_path)
+        for context, record in _records(payload, "annotations", annotations_path):
+            qid = _field(record, "question_id", _ID, context)
+            answers[qid] = _field(record, "multiple_choice_answer", _STR, context)
+    questions = [
+        _parse_question(r, context, ("question_id", "question", "multiple_choices"), answers)
+        for context, r in _records(_read_json(questions_path), "questions", questions_path)
+    ]
     # dict.fromkeys keeps first-appearance order and runs in linear time
     images = [ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions)]
     return _validate_manifest(images, questions)
+
+
+def load_predictions(path: str | Path) -> dict[str | int, str]:
+    """Question id -> answer from a predictions JSONL file, one
+    {question_id, answer} object per line."""
+    predictions = {}
+    for lineno, record in _read_json(path, lines=True):
+        context = f"{path}:{lineno}"
+        qid = _field(record, "question_id", _ID, context)
+        predictions[qid] = _field(record, "answer", _STR, context)
+    return predictions
+
+
+def load_labels(path: str | Path) -> dict[int, list[str]]:
+    """Image id -> labels from an extracted-labels JSONL file, one
+    {image_id, labels} object per line."""
+    labels = {}
+    for lineno, record in _read_json(path, lines=True):
+        context = f"{path}:{lineno}"
+        image_id = _field(record, "image_id", _INT, context)
+        labels[image_id] = _field(record, "labels", _STRINGS, context)
+    return labels
 
 
 def questions_by_image(manifest: DatasetManifest) -> dict[int, list[Question]]:
@@ -368,8 +395,6 @@ class RunConfig:
 
     dataset: Path
     features: Path
-    types: Path
-    object_vocab: Path
     out_dir: Path
     train: TrainConfig
     seed: int
@@ -378,52 +403,44 @@ class RunConfig:
     min_count: int = 1
 
 
+_TRAIN_FIELDS = {
+    f.name: _INT if f.type in (int, "int") else _NUMBER
+    for f in dataclasses.fields(TrainConfig)
+}
+
+
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    payload = _read_json(path)
     base = Path(path).parent
 
     def resolve(key: str, required: bool = True) -> Path | None:
-        value = payload.get(key)
+        value = _field(payload, key, _STR, path, _REQUIRED if required else None)
         if value is None:
-            if required:
-                raise ParseError(f"{path}: missing path {key!r}")
             return None
         p = base / value
         if key != "out_dir" and not p.exists():
             raise ParseError(f"{path}: {key} path {p} does not exist")
         return p
 
-    if "seed" not in payload:
-        raise ParseError(f"{path}: missing field 'seed'")
-    train_params = dict(payload.get("train", {}))
-    train_params.setdefault("seed", payload["seed"])
+    seed = _field(payload, "seed", _INDEX, path)
+    section = _field(payload, "train", _OBJECT, path, {})
+    train_params = {"seed": seed}
+    for key in section:
+        if key not in _TRAIN_FIELDS:
+            raise ParseError(f"{path}: train: unknown field {key!r}")
+        train_params[key] = _field(section, key, _TRAIN_FIELDS[key], f"{path}: train")
     try:
         train_cfg = TrainConfig(**train_params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: bad train section: {exc}") from exc
 
     return RunConfig(
         dataset=resolve("dataset"),
         features=resolve("features"),
-        types=resolve("types"),
-        object_vocab=resolve("object_vocab"),
         out_dir=resolve("out_dir", required=False) or base / "out",
         train=train_cfg,
-        seed=int(payload["seed"]),
-        augment_mode=payload.get("augment_mode", "powerset"),
+        seed=seed,
+        augment_mode=_field(payload, "augment_mode", _STR, path, "powerset"),
         vocab=resolve("vocab", required=False),
-        min_count=int(payload.get("min_count", 1)),
+        min_count=_field(payload, "min_count", _POSITIVE, path, 1),
     )
-
-
-def run_config_snapshot(config: RunConfig) -> dict:
-    """JSON-serializable view of a run config, for reproducibility logs."""
-    snap = dataclasses.asdict(config)
-    for key, value in snap.items():
-        if isinstance(value, Path):
-            snap[key] = str(value)
-    return snap

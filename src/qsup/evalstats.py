@@ -157,7 +157,6 @@ class AccuracyReport:
     overall: float
     by_type: Mapping[AnswerType, float]
     n_examples: Mapping[AnswerType, int]
-    bootstrap: tuple[float, float] | None = None
 
 
 def _normalize_answer(answer: str) -> str:

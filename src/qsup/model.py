@@ -155,6 +155,8 @@ class TrainConfig:
             raise ValueError("answer_vocab_size and embed_dim must be >= 1")
         if self.weight_init_scale < 0:
             raise ValueError("weight_init_scale must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")  # numpy seeds are non-negative
 
 
 # ---------------------------------------------------------------------------

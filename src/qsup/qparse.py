@@ -175,7 +175,10 @@ class QuestionTypeTable:
 
 def classify_question_type(question: Question, table: QuestionTypeTable) -> QuestionType:
     """Longest-prefix match over both lists; no match is unconfirmed."""
-    tokens = tokenize(question.text)
+    return _question_type(tokenize(question.text), table)
+
+
+def _question_type(tokens: list[str], table: QuestionTypeTable) -> QuestionType:
     for prefix, qtype in table._entries:
         if len(prefix) <= len(tokens) and tuple(tokens[: len(prefix)]) == prefix:
             return qtype
@@ -303,10 +306,11 @@ def extract_objects(
     """
     if not question.text.strip():
         raise MalformedQuestion(f"question {question.id!r} has empty text")
-    if classify_question_type(question, table) is QuestionType.UNCONFIRMED:
+    tokens = tokenize(question.text)
+    if _question_type(tokens, table) is QuestionType.UNCONFIRMED:
         return LabelSet(frozenset(), vocab.class_names)
 
-    lemmas = [normalize_token(t) for t in tokenize(question.text)]
+    lemmas = [normalize_token(t) for t in tokens]
     found: set[str] = set()
     consumed = [False] * len(lemmas)
 
@@ -351,23 +355,18 @@ def extract_objects_multi(
     image_ids = {q.image_id for q in questions}
     if len(image_ids) > 1:
         raise MixedImages(f"questions span images {sorted(image_ids)}")
-    result = LabelSet(frozenset(), vocab.class_names)
+    found: set[str] = set()
     for q in questions:
-        result = result | extract_objects(q, vocab, table, adjective_filter)
-    return result
+        found |= extract_objects(q, vocab, table, adjective_filter).present
+    return LabelSet(frozenset(found), vocab.class_names)
 
 
 # ---------------------------------------------------------------------------
 # table loading
 
 
-def _data_lines(path_or_text: str, *, is_text: bool = False) -> Iterable[tuple[int, str]]:
-    if is_text:
-        raw = path_or_text
-    else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            raw = fh.read()
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+def _data_lines(text: str) -> Iterable[tuple[int, str]]:
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -376,7 +375,7 @@ def _data_lines(path_or_text: str, *, is_text: bool = False) -> Iterable[tuple[i
 def _parse_question_types(text: str, source: str) -> QuestionTypeTable:
     sections: dict[str, list[str]] = {"confirmed": [], "unconfirmed": []}
     current: list[str] | None = None
-    for lineno, line in _data_lines(text, is_text=True):
+    for lineno, line in _data_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
             if name not in sections:
@@ -396,7 +395,7 @@ def _parse_question_types(text: str, source: str) -> QuestionTypeTable:
 
 def _parse_object_vocab(text: str, source: str) -> ObjectVocabulary:
     classes = []
-    for lineno, line in _data_lines(text, is_text=True):
+    for lineno, line in _data_lines(text):
         parts = [p.strip() for p in line.split("|")]
         name = parts[0]
         if not name:

@@ -253,6 +253,34 @@ def _manifest_with(base, image=None, question=None):
     return base / "odd.json"
 
 
+def _run_config_with(base, **fields):
+    """The pair_setup run config with the given top-level fields replaced."""
+    cfg = json.loads((base / "run.json").read_text())
+    cfg.update(fields)
+    (base / "odd_run.json").write_text(json.dumps(cfg))
+    return ["train", "--config", str(base / "odd_run.json")]
+
+
+def _train_fields(**fields):
+    return lambda b: _run_config_with(
+        b, train={**json.loads((b / "run.json").read_text())["train"], **fields})
+
+
+def _jsonl(base, record):
+    (base / "odd.jsonl").write_text(json.dumps(record) + "\n")
+    return str(base / "odd.jsonl")
+
+
+def _eval_vqa_predictions(record):
+    return lambda b: ["eval", "--pred", _jsonl(b, record), "--dataset", str(_manifest_with(b)),
+                      "--out-prefix", str(b / "r")]
+
+
+def _non_utf8_manifest(base):
+    (base / "odd.json").write_bytes(b"\xff\xfe{}")
+    return ["extract", "--questions", str(base / "odd.json"), "--out", str(base / "l.jsonl")]
+
+
 # (argv built from the pair_setup directory, expected exit code):
 # 1 = bad flag value or combination, 2 = bad data
 CONTRACT_CASES = {
@@ -293,6 +321,32 @@ CONTRACT_CASES = {
     "augment_text_feature_ref": (
         lambda b: ["augment", "--in", str(_manifest_with(b, image={"feature_ref": "x"})),
                    "--out", str(b / "e.jsonl")], 2),
+    "eval_vqa_numeric_manifest_answer": (
+        lambda b: ["eval", "--task", "vqa",
+                   "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
+                   "--dataset", str(_manifest_with(b, question={"answer": 5})),
+                   "--out-prefix", str(b / "r")], 2),
+    "eval_numeric_predicted_answer": (_eval_vqa_predictions({"question_id": "q1", "answer": 5}), 2),
+    "eval_list_predicted_question_id": (
+        _eval_vqa_predictions({"question_id": ["a"], "answer": "red"}), 2),
+    "eval_extraction_list_label_image_id": (
+        lambda b: ["eval", "--task", "extraction",
+                   "--labels", _jsonl(b, {"image_id": [1], "labels": ["bus"]}),
+                   "--dataset", str(_manifest_with(b, image={"gt_labels": ["bus"]})),
+                   "--out-prefix", str(b / "pr")], 2),
+    "train_config_text_min_count": (lambda b: _run_config_with(b, min_count="x"), 2),
+    "train_config_zero_min_count": (lambda b: _run_config_with(b, min_count=0), 2),
+    "train_config_text_seed": (lambda b: _run_config_with(b, seed="abc"), 2),
+    "train_config_numeric_train_section": (lambda b: _run_config_with(b, train=5), 2),
+    "train_config_numeric_dataset_path": (lambda b: _run_config_with(b, dataset=3), 2),
+    "train_config_numeric_vocab_path": (lambda b: _run_config_with(b, vocab=3), 2),
+    "train_config_fractional_epochs": (_train_fields(epochs=1.5), 2),
+    "train_config_fractional_batch_size": (_train_fields(batch_size=1.5), 2),
+    "train_config_fractional_embed_dim": (_train_fields(embed_dim=1.5), 2),
+    "train_config_text_train_seed": (_train_fields(seed="x"), 2),
+    "train_config_nan_learning_rate": (_train_fields(learning_rate=float("nan")), 2),
+    "train_config_negative_seed": (lambda b: _run_config_with(b, seed=-1), 2),
+    "extract_non_utf8_manifest": (_non_utf8_manifest, 2),
 }
 
 

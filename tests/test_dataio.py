@@ -358,3 +358,69 @@ def test_manifest_rejects_booleans_and_negative_feature_refs(tmp_path, image, qu
     }))
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("question, annotation", [
+    ({"question": 7}, {}),
+    ({"question": ""}, {}),
+    ({"multiple_choices": 5}, {}),
+    ({}, {"multiple_choice_answer": 3}),
+])
+def test_vqa_adapter_checks_field_types(tmp_path, question, annotation):
+    q_path = tmp_path / "questions.json"
+    a_path = tmp_path / "annotations.json"
+    q_path.write_text(json.dumps({"questions": [
+        {"question_id": 1, "image_id": 5, "question": "What is it?", **question}
+    ]}))
+    a_path.write_text(json.dumps({"annotations": [
+        {"question_id": 1, "multiple_choice_answer": "cat", **annotation}
+    ]}))
+    with pytest.raises(ParseError):
+        load_vqa_dataset(q_path, a_path)
+
+
+@pytest.mark.parametrize("fields, train", [
+    ({"seed": "7"}, {}),
+    ({"seed": 7.0}, {}),
+    ({"seed": -1}, {}),
+    ({"min_count": "2"}, {}),
+    ({"min_count": 0}, {}),
+    ({"dataset": 1}, {}),
+    ({"out_dir": ["out"]}, {}),
+    ({"train": [1]}, {}),
+    ({}, {"epochs": 2.5}),
+    ({}, {"answer_vocab_size": 3.5}),
+    ({}, {"seed": True}),
+    ({}, {"seed": -3}),
+    ({}, {"weight_init_scale": True}),
+    ({}, {"learning_rate": float("inf")}),
+])
+def test_run_config_checks_field_types(tmp_path, fields, train):
+    (tmp_path / "data.json").write_text(json.dumps({"images": [], "questions": []}))
+    save_features({1: np.zeros(2)}, tmp_path / "feats.qvft")
+    (tmp_path / "types.txt").write_text("[confirmed]\nwhat\n[unconfirmed]\nis\n")
+    (tmp_path / "objects.txt").write_text("cat\n")
+    cfg = {"dataset": "data.json", "features": "feats.qvft", "types": "types.txt",
+           "object_vocab": "objects.txt", "seed": 7,
+           "train": {"epochs": 2, **train}, **fields}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ParseError):
+        load_run_config(cfg_path)
+
+
+@pytest.mark.parametrize("loader", [load_dataset, load_run_config, load_vqa_dataset])
+def test_json_inputs_must_be_utf8(tmp_path, loader):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff\xfe{"images": []}')
+    with pytest.raises(ParseError):
+        loader(path)
+
+
+def test_run_config_ignores_table_paths(tmp_path):
+    (tmp_path / "data.json").write_text(json.dumps({"images": [], "questions": []}))
+    save_features({1: np.zeros(2)}, tmp_path / "feats.qvft")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"dataset": "data.json", "features": "feats.qvft", "seed": 7,
+                                    "types": "absent.txt", "object_vocab": "absent.txt"}))
+    assert load_run_config(cfg_path).dataset == tmp_path / "data.json"

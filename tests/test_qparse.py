@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsup import qparse as qparse_module
 from qsup.errors import MalformedQuestion, MixedImages
 from qsup.qparse import (
     LabelSet,
@@ -262,3 +265,21 @@ class TestVocabularyValidation:
     def test_label_outside_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             LabelSet(frozenset({"dragon"}), ("cat", "dog"))
+
+
+def test_extraction_tokenizes_each_question_once(obj_vocab, type_table, monkeypatch):
+    questions = [
+        q("What color is the bus?", qid="a"),
+        q("Are people waiting for the food truck?", qid="b"),
+        q("Is the bird sitting on a plant?", qid="c"),
+    ]
+    calls = Counter()
+
+    def counting_tokenize(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(qparse_module, "tokenize", counting_tokenize)
+    labels = extract_objects_multi(questions, obj_vocab, type_table)
+    assert labels.present == {"bus", "person", "truck", "bird", "potted plant"}
+    assert calls == Counter(x.text for x in questions)
