@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import augment, dataio, evalstats, qparse, vocab as vocabmod
-from .errors import DanglingReference, QsupError
+from .errors import DanglingReference, EmptyVector, QsupError
 from .model import predict_batch, train
 
 logger = logging.getLogger(__name__)
@@ -204,6 +204,8 @@ def _matched_pairs(pred_path: str, dataset_path: str) -> list[tuple[str, str]]:
         if q.id not in predictions:
             raise DanglingReference(f"no prediction for question {q.id!r}")
         pairs.append((predictions[q.id], q.answer))
+    if not pairs:
+        raise EmptyVector(f"{dataset_path}: no answered question to score")
     return pairs
 
 

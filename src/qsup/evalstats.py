@@ -58,15 +58,14 @@ def per_class_pr(predicted: Sequence[LabelSet], truth: Sequence[LabelSet]) -> Pr
         if ls.classes != classes:
             raise LengthMismatch("label sets use different class vocabularies")
 
+    column = {c: j for j, c in enumerate(classes)}
+    p, t = (np.zeros((len(predicted), len(classes)), dtype=bool) for _ in range(2))
+    for rows, sets in ((p, predicted), (t, truth)):
+        rows[[r for r, ls in enumerate(sets) for _ in ls.present],
+             [column[c] for ls in sets for c in ls.present]] = True
+    tps, fps, fns = ((a & b).sum(axis=0).tolist() for a, b in ((p, t), (p, ~t), (t, ~p)))
     per_class = {}
-    for cls in classes:
-        tp = fp = fn = 0
-        for pred, true in zip(predicted, truth):
-            p = cls in pred.present
-            t = cls in true.present
-            tp += p and t
-            fp += p and not t
-            fn += t and not p
+    for cls, tp, fp, fn in zip(classes, tps, fps, fns):
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         per_class[cls] = ClassPR(precision, recall, tp + fn)
@@ -104,20 +103,19 @@ def mean_average_precision(
         if len(scores[i]) != n_classes or len(truth[i]) != n_classes:
             raise DimMismatch(f"image {i}: vectors must have length {n_classes}")
 
+    score = np.array([scores[i] for i in ids], dtype=np.float64).reshape(len(ids), n_classes)
+    true = np.array([truth[i] for i in ids]).reshape(len(ids), n_classes)
+    n_pos = true.astype(np.int64).sum(axis=0).tolist()
     per_class: dict[str, float | None] = {}
     for j, cls in enumerate(classes):
-        ranked = sorted(ids, key=lambda i: (-float(scores[i][j]), i))
-        n_pos = sum(int(truth[i][j]) for i in ids)
-        if n_pos == 0:
+        if n_pos[j] == 0:
             per_class[cls] = None
             continue
-        hits = 0
-        ap = 0.0
-        for rank, i in enumerate(ranked, start=1):
-            if truth[i][j]:
-                hits += 1
-                ap += hits / rank
-        per_class[cls] = ap / n_pos
+        ranked = np.argsort(-score[:, j], kind="stable")  # ids ascend, so ties go to the lower id
+        hit_ranks = np.flatnonzero(true[ranked, j]) + 1
+        # precision at each hit, summed in rank order as a running total would
+        precision = np.arange(1, len(hit_ranks) + 1) / hit_ranks
+        per_class[cls] = float(np.cumsum(precision)[-1]) / n_pos[j]
     valid = [ap for ap in per_class.values() if ap is not None]
     return per_class, float(np.mean(valid)) if valid else 0.0
 

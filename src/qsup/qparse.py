@@ -1,17 +1,21 @@
 """Rule-based extraction of object-class labels from visual questions.
 
-A question first gets a type (confirmed / unconfirmed) by longest-prefix
-match against a fixed table of question-type phrases.  Confirmed questions
-are then scanned for the 80 target object classes: multi-word classes and
-multi-word synonyms match as exact-order n-grams over lemmatized tokens,
-single words match against names, synonyms and super-category members, and
-a matched phrase class suppresses its colliding one-word class so that
-"teddy bear" never also signals "bear".
+A question is tokenized once (one precompiled regex drops every character
+that is neither alphanumeric, whitespace nor "-") and gets a type
+(confirmed / unconfirmed) by longest-prefix match against a fixed table of
+question-type phrases, one dict lookup per phrase length.  Confirmed
+questions are then scanned for the 80 target object classes over lemmas
+from a bounded per-process cache: multi-word classes and multi-word
+synonyms match as exact-order n-grams, single words match against names,
+synonyms and super-category members, and a matched phrase class suppresses
+its colliding one-word class so that "teddy bear" never also signals "bear".
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -67,20 +71,15 @@ class QuestionType(enum.Enum):
 # tokenization and lemmatization
 
 
+_DROPPED_CHARS = re.compile(r"[^\w\s-]|_")  # "_" is a regex word character, not alphanumeric
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens with punctuation stripped; intra-word hyphens survive."""
-    chars = []
-    for ch in text.lower():
-        if ch.isalnum() or ch == "-":
-            chars.append(ch)
-        elif ch.isspace():
-            chars.append(" ")
-    tokens = []
-    for raw in "".join(chars).split():
-        tok = raw.strip("-")
-        if tok:
-            tokens.append(tok)
-    return tokens
+    """Lowercase tokens: a character is kept if ``str.isalnum()`` or "-", splits
+    tokens if ``str.isspace()`` and is dropped otherwise; "-" is then stripped
+    from each token's ends, so intra-word hyphens survive."""
+    words = _DROPPED_CHARS.sub("", text.lower()).split()
+    return [tok for tok in (w.strip("-") for w in words) if tok]
 
 
 # Irregular plural -> singular.  Only forms that matter for matching everyday
@@ -134,6 +133,9 @@ def _singularize(token: str) -> str:
     return token
 
 
+# Question tokens follow a Zipf law, so most lookups hit; bounded so that a
+# stream of novel tokens cannot grow the cache without limit.
+@functools.lru_cache(maxsize=1 << 16)
 def normalize_token(token: str) -> str:
     """Map a lowercase token to its lemma: singular form, canonical spelling."""
     lemma = _singularize(token)
@@ -154,23 +156,25 @@ class QuestionTypeTable:
 
     confirmed: tuple[str, ...]
     unconfirmed: tuple[str, ...]
-    # (token tuple, type) pairs sorted longest-first, built once.
-    _entries: tuple[tuple[tuple[str, ...], QuestionType], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # token tuple -> type, and the distinct tuple lengths longest-first.
+    _prefixes: dict[tuple[str, ...], QuestionType] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, entries in (("confirmed", self.confirmed), ("unconfirmed", self.unconfirmed)):
-            for phrase in entries:
-                if phrase != phrase.strip() or phrase != phrase.lower():
-                    raise ValueError(f"{name} entry {phrase!r} must be lowercase and trimmed")
+        # Phrases that split to the same tokens ("what is", "what  is") share
+        # a key; the first listed wins, confirmed before unconfirmed.
+        prefixes: dict[tuple[str, ...], QuestionType] = {}
+        pairs = [(p, QuestionType.CONFIRMED) for p in self.confirmed]
+        for phrase, qtype in pairs + [(p, QuestionType.UNCONFIRMED) for p in self.unconfirmed]:
+            if phrase != phrase.strip() or phrase != phrase.lower():
+                raise ValueError(f"{qtype.value} entry {phrase!r} must be lowercase and trimmed")
+            prefixes.setdefault(tuple(phrase.split()), qtype)
         overlap = set(self.confirmed) & set(self.unconfirmed)
         if overlap:
             raise ValueError(f"phrases in both lists: {sorted(overlap)}")
-        entries = [(tuple(p.split()), QuestionType.CONFIRMED) for p in self.confirmed]
-        entries += [(tuple(p.split()), QuestionType.UNCONFIRMED) for p in self.unconfirmed]
-        entries.sort(key=lambda e: len(e[0]), reverse=True)
-        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "_prefixes", prefixes)
+        lengths = sorted({len(p) for p in prefixes}, reverse=True)
+        object.__setattr__(self, "_lengths", tuple(lengths))
 
 
 def classify_question_type(question: Question, table: QuestionTypeTable) -> QuestionType:
@@ -179,9 +183,11 @@ def classify_question_type(question: Question, table: QuestionTypeTable) -> Ques
 
 
 def _question_type(tokens: list[str], table: QuestionTypeTable) -> QuestionType:
-    for prefix, qtype in table._entries:
-        if len(prefix) <= len(tokens) and tuple(tokens[: len(prefix)]) == prefix:
-            return qtype
+    for n in table._lengths:
+        if n <= len(tokens):
+            qtype = table._prefixes.get(tuple(tokens[:n]))
+            if qtype is not None:
+                return qtype
     return QuestionType.UNCONFIRMED
 
 
@@ -207,7 +213,7 @@ class ObjectVocabulary:
     ``class_names`` fixes the canonical order of label vectors.  Matching
     tables are keyed by lemmatized token tuples: ``phrase_map`` holds every
     multi-word term (names, synonyms, subterms), ``word_map`` every
-    single-word term.
+    single-word term, ``phrase_starts`` the first lemma of every phrase.
     """
 
     def __init__(self, classes: Sequence[ObjectClass]):
@@ -245,12 +251,7 @@ class ObjectVocabulary:
                         "but does not list it under excl"
                     )
         self.max_phrase_len = max((len(k) for k in self.phrase_map), default=1)
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
+        self.phrase_starts = frozenset(k[0] for k in self.phrase_map)
 
 
 @dataclass(frozen=True)
@@ -261,18 +262,13 @@ class LabelSet:
     classes: tuple[str, ...]
 
     def __post_init__(self):
-        unknown = self.present - set(self.classes)
+        unknown = self.present.difference(self.classes)
         if unknown:
             raise ValueError(f"labels outside the vocabulary: {sorted(unknown)}")
 
     @property
     def as_vector(self) -> np.ndarray:
         return np.array([1 if c in self.present else 0 for c in self.classes], dtype=np.int8)
-
-    def __or__(self, other: "LabelSet") -> "LabelSet":
-        if self.classes != other.classes:
-            raise ValueError("label sets use different vocabularies")
-        return LabelSet(self.present | other.present, self.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +306,20 @@ def extract_objects(
     if _question_type(tokens, table) is QuestionType.UNCONFIRMED:
         return LabelSet(frozenset(), vocab.class_names)
 
-    lemmas = [normalize_token(t) for t in tokens]
+    lemmas = list(map(normalize_token, tokens))
     found: set[str] = set()
     consumed = [False] * len(lemmas)
 
+    starts = [i for i, lemma in enumerate(lemmas) if lemma in vocab.phrase_starts]
     for n in range(min(vocab.max_phrase_len, len(lemmas)), 1, -1):
-        for i in range(len(lemmas) - n + 1):
-            if any(consumed[i : i + n]):
+        for i in starts:
+            if i + n > len(lemmas) or any(consumed[i : i + n]):
                 continue
             cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
             if cls_name is None:
                 continue
             found.add(cls_name)
-            for j in range(i, i + n):
-                consumed[j] = True
+            consumed[i : i + n] = [True] * n
 
     for i, lemma in enumerate(lemmas):
         if consumed[i]:

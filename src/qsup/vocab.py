@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, KTooLarge, UnknownMode
+from .errors import EmptyCorpus, KTooLarge, ParseError, UnknownMode
 from .qparse import (
     ObjectVocabulary,
     Question,
@@ -235,4 +235,8 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 def load_vocabulary(path: str) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
-        return Vocabulary([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    repeated = [w for w, n in Counter(words).items() if n > 1]
+    if repeated:
+        raise ParseError(f"{path}: word {repeated[0]!r} occurs more than once")
+    return Vocabulary(words)

@@ -276,6 +276,19 @@ def _eval_vqa_predictions(record):
                       "--out-prefix", str(b / "r")]
 
 
+def _unanswered_manifest(base):
+    (base / "unanswered.json").write_text(json.dumps({
+        "images": [{"image_id": 1}],
+        "questions": [{"id": "q1", "image_id": 1, "text": "What color is the bus?"}],
+    }))
+    return str(base / "unanswered.json")
+
+
+def _repeated_word_vocab(base):
+    (base / "repeated.txt").write_text("what\ncolor\nwhat\n")
+    return str(base / "repeated.txt")
+
+
 def _non_utf8_manifest(base):
     (base / "odd.json").write_bytes(b"\xff\xfe{}")
     return ["extract", "--questions", str(base / "odd.json"), "--out", str(base / "l.jsonl")]
@@ -347,6 +360,14 @@ CONTRACT_CASES = {
     "train_config_nan_learning_rate": (_train_fields(learning_rate=float("nan")), 2),
     "train_config_negative_seed": (lambda b: _run_config_with(b, seed=-1), 2),
     "extract_non_utf8_manifest": (_non_utf8_manifest, 2),
+    "eval_vqa_no_answered_question": (
+        lambda b: ["eval", "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
+                   "--dataset", _unanswered_manifest(b), "--out-prefix", str(b / "r")], 2),
+    "word_targets_vocab_repeated_word": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
+                   "--text-vocab", _repeated_word_vocab(b), "--out", str(b / "t.jsonl")], 2),
+    "train_config_vocab_repeated_word": (
+        lambda b: _run_config_with(b, vocab=_repeated_word_vocab(b)), 2),
 }
 
 

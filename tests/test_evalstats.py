@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qsup.errors import DimMismatch, EmptyAnswer, EmptyVector, LengthMismatch
 from qsup.evalstats import (
     AnswerType,
+    ClassPR,
     bootstrap_ci,
     classify_answer_type,
     correct_flags,
@@ -55,6 +56,26 @@ class TestPerClassPr:
             assert report.per_class[cls].precision == (tp / (tp + fp) if tp + fp else 0.0)
             assert report.per_class[cls].recall == (tp / (tp + fn) if tp + fn else 0.0)
             assert report.per_class[cls].support == tp + fn
+
+    def test_matches_per_class_loop_on_random_sets(self):
+        rng = np.random.default_rng(4)
+        classes = tuple(f"c{j}" for j in range(7))
+
+        def draw():
+            return LabelSet(frozenset(c for c in classes if rng.random() < 0.3), classes)
+
+        predicted = [draw() for _ in range(150)]
+        truth = [draw() for _ in range(150)]
+        report = per_class_pr(predicted, truth)
+        for cls in classes:
+            tp = fp = fn = 0
+            for pred, true in zip(predicted, truth):
+                p, t = cls in pred.present, cls in true.present
+                tp += p and t
+                fp += p and not t
+                fn += t and not p
+            assert report.per_class[cls] == ClassPR(
+                tp / (tp + fp) if tp + fp else 0.0, tp / (tp + fn) if tp + fn else 0.0, tp + fn)
 
     def test_false_additions_cannot_raise_precision(self):
         truth = [labels("cat"), labels("cat")]
@@ -146,6 +167,37 @@ class TestMeanAveragePrecision:
     def test_key_mismatch(self):
         with pytest.raises(LengthMismatch):
             mean_average_precision({0: [1.0]}, {1: [1]}, ["a"])
+
+    def test_matches_per_class_loop_on_tied_grid(self):
+        rng = np.random.default_rng(12)
+        classes = [f"c{j}" for j in range(6)]
+        ids = rng.permutation(1000)[:200].tolist()
+        scores = {i: rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=6) for i in ids}
+        truth = {i: (rng.random(6) < 0.3).astype(np.int8) for i in ids}
+        for i in ids:
+            truth[i][4] = 0  # a class with no positive image
+        assert mean_average_precision(scores, truth, classes) == loop_map(scores, truth, classes)
+
+
+def loop_map(scores, truth, classes):
+    # mean_average_precision as the per-class rank loop it was before vectorizing.
+    ids = sorted(scores)
+    per_class = {}
+    for j, cls in enumerate(classes):
+        ranked = sorted(ids, key=lambda i: (-float(scores[i][j]), i))
+        n_pos = sum(int(truth[i][j]) for i in ids)
+        if n_pos == 0:
+            per_class[cls] = None
+            continue
+        hits = 0
+        ap = 0.0
+        for rank, i in enumerate(ranked, start=1):
+            if truth[i][j]:
+                hits += 1
+                ap += hits / rank
+        per_class[cls] = ap / n_pos
+    valid = [ap for ap in per_class.values() if ap is not None]
+    return per_class, float(np.mean(valid)) if valid else 0.0
 
 
 class TestClassifyAnswerType:

@@ -283,3 +283,152 @@ def test_extraction_tokenizes_each_question_once(obj_vocab, type_table, monkeypa
     labels = extract_objects_multi(questions, obj_vocab, type_table)
     assert labels.present == {"bus", "person", "truck", "bird", "potted plant"}
     assert calls == Counter(x.text for x in questions)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the fast text layer must agree with
+
+
+def per_character_tokenize(text):
+    # The character-by-character tokenizer that the one-regex version replaced.
+    chars = []
+    for ch in text.lower():
+        if ch.isalnum() or ch == "-":
+            chars.append(ch)
+        elif ch.isspace():
+            chars.append(" ")
+    tokens = []
+    for raw in "".join(chars).split():
+        tok = raw.strip("-")
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
+# Characters where str.isalnum / str.isspace and the regex classes could part
+# ways: underscore, hyphen, combining marks, non-ASCII digits and numerals,
+# the information separators, NEL, the line separator and a capital whose
+# lowercase form is two code points.
+_TRICKY = "_-\u0301\u0307\u0663\u00b2\u2167\x1c\x1d\x1e\x1f\x85\u2028\u00a0\u200b\u0130 \t\n.?'"
+
+
+class TestTokenizeMatchesPerCharacterReference:
+    @settings(max_examples=200)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=40))
+    def test_random_text(self, text):
+        assert tokenize(text) == per_character_tokenize(text)
+
+    def test_every_code_point(self):
+        # "a" on both sides shows whether each character is kept, splits or is dropped.
+        text = "a" + "a".join(map(chr, range(0x110000))) + "a"
+        assert tokenize(text) == per_character_tokenize(text)
+
+
+def linear_scan_question_type(tokens, table):
+    # The longest-first scan over every table phrase that the dict lookup replaced.
+    entries = [(tuple(p.split()), QuestionType.CONFIRMED) for p in table.confirmed]
+    entries += [(tuple(p.split()), QuestionType.UNCONFIRMED) for p in table.unconfirmed]
+    entries.sort(key=lambda e: len(e[0]), reverse=True)
+    for prefix, qtype in entries:
+        if len(prefix) <= len(tokens) and tuple(tokens[: len(prefix)]) == prefix:
+            return qtype
+    return QuestionType.UNCONFIRMED
+
+
+_SPLIT_KEY_TABLES = [
+    QuestionTypeTable(confirmed=("what is", "how many"), unconfirmed=("what  is", "what", "is")),
+    QuestionTypeTable(confirmed=("what  is", "is"), unconfirmed=("what is", "what is the")),
+]
+
+
+class TestPrefixLookupMatchesLinearScan:
+    @staticmethod
+    def _check(table, tokens):
+        expected = linear_scan_question_type(tokens, table)
+        assert classify_question_type(q(" ".join(tokens) or "?"), table) is expected
+
+    def test_every_packaged_phrase_and_its_neighbours(self, type_table):
+        phrases = [p.split() for p in type_table.confirmed + type_table.unconfirmed]
+        for words in phrases:
+            for cut in range(len(words) + 1):
+                self._check(type_table, words[:cut])
+                self._check(type_table, words[:cut] + ["zebra"])
+                self._check(type_table, words + ["man", "wearing"])
+
+    @given(data=st.data())
+    def test_random_questions(self, type_table, data):
+        phrases = type_table.confirmed + type_table.unconfirmed
+        words = sorted({w for p in phrases for w in p.split()})
+        tokens = data.draw(st.lists(st.sampled_from(words + ["zebra", "the"]), max_size=8))
+        self._check(type_table, tokens)
+
+    @pytest.mark.parametrize("table", _SPLIT_KEY_TABLES,
+                             ids=["confirmed_first", "unconfirmed_first"])
+    @pytest.mark.parametrize("text",
+                             ["what is the dog", "what is", "what", "is it", "how many dogs"])
+    def test_phrases_sharing_a_token_key(self, table, text):
+        self._check(table, text.split())
+
+
+def full_scan_extract(question, vocab, table, adjective_filter=False):
+    # extract_objects as it was before the lemma cache and the phrase-start skip.
+    tokens = per_character_tokenize(question.text)
+    if linear_scan_question_type(tokens, table) is QuestionType.UNCONFIRMED:
+        return set()
+    lemmas = [normalize_token(t) for t in tokens]
+    found = set()
+    consumed = [False] * len(lemmas)
+    for n in range(min(vocab.max_phrase_len, len(lemmas)), 1, -1):
+        for i in range(len(lemmas) - n + 1):
+            if any(consumed[i : i + n]):
+                continue
+            cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
+            if cls_name is None:
+                continue
+            found.add(cls_name)
+            for j in range(i, i + n):
+                consumed[j] = True
+    for i, lemma in enumerate(lemmas):
+        if consumed[i]:
+            continue
+        cls_name = vocab.word_map.get(lemma)
+        if cls_name is None:
+            continue
+        if adjective_filter and i + 1 < len(lemmas):
+            nxt = lemmas[i + 1]
+            if not consumed[i + 1] and nxt not in qparse_module._FUNCTION_WORDS and nxt != lemma:
+                continue
+        found.add(cls_name)
+    suppressed = set()
+    for name in found:
+        suppressed |= vocab.classes[vocab.class_index[name]].collides
+    return found - suppressed
+
+
+_PHRASE_SOUP = _SOUP + [
+    "cell", "phone", "phones", "traffic", "light", "fire", "hydrant", "hair", "dryers",
+    "tennis", "racket", "rackets", "wine", "glasses", "people", "stop", "sign", "orange",
+]
+
+
+@settings(max_examples=150)
+@given(
+    prefix=st.sampled_from(["What color is the", "How many", "Is there a", "What is the man"]),
+    words=st.lists(st.sampled_from(_PHRASE_SOUP), min_size=1, max_size=8),
+    adjective_filter=st.booleans(),
+)
+def test_extraction_matches_full_scan_reference(obj_vocab, type_table, prefix, words,
+                                                adjective_filter):
+    question = q(f"{prefix} {' '.join(words)}?")
+    present = extract_objects(question, obj_vocab, type_table, adjective_filter).present
+    assert present == full_scan_extract(question, obj_vocab, type_table, adjective_filter)
+
+
+def test_a_pass_never_matches_a_window_cut_short_by_the_question_end():
+    # In the 4-gram pass the window at "q" holds only "q r s"; it must not match
+    # the 3-word phrase ahead of the 3-gram pass, where "p q r" comes first.
+    vocab = ObjectVocabulary([ObjectClass("p q r"), ObjectClass("q r s"), ObjectClass("w x y z")])
+    table = QuestionTypeTable(confirmed=("what",), unconfirmed=("is",))
+    question = q("what p q r s")
+    assert extract_objects(question, vocab, table).present == {"p q r"}
+    assert full_scan_extract(question, vocab, table) == {"p q r"}
