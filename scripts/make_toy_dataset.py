@@ -8,10 +8,10 @@ Gives the CLI walkthrough in the README something to chew on:
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
+from qsup.qparse import write_json
 from qsup.synth import make_pair_dataset
 
 
@@ -42,9 +42,7 @@ def main():
         "train": {"learning_rate": 0.5, "epochs": 10, "batch_size": 16,
                   "answer_vocab_size": 8, "weight_init_scale": 0.01, "embed_dim": 16},
     }
-    with open(out / "run.json", "w") as fh:
-        json.dump(config, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "run.json", config)
     print(f"wrote {out}/data.json, {out}/features.qvft and {out}/run.json")
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import augment, dataio, evalstats, qparse, vocab as vocabmod
 from .errors import DanglingReference, EmptyVector, QsupError
 from .model import predict_batch, train
+from .qparse import write_json, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +52,7 @@ def _checked(convert, ok, requirement: str):
 
 def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{command}.snapshot.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(out_dir / f"{command}.snapshot.json", payload, sort_keys=True, default=str)
 
 
 def _args_snapshot(args: argparse.Namespace) -> dict:
@@ -82,44 +81,29 @@ def _cmd_extract(args) -> int:
     obj_vocab, types = _load_tables(args)
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
-    out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for entry in manifest.images:
-            labels = qparse.extract_objects_multi(
-                grouped[entry.image_id], obj_vocab, types, args.adjective_filter
-            )
-            fh.write(
-                json.dumps({"image_id": entry.image_id, "labels": sorted(labels.present)})
-                + "\n"
-            )
-    _write_snapshot(out_path.parent, "extract", _args_snapshot(args))
+    label_sets = (
+        qparse.extract_objects_multi(grouped[e.image_id], obj_vocab, types, args.adjective_filter)
+        for e in manifest.images
+    )
+    write_lines(args.out, (
+        json.dumps({"image_id": e.image_id, "labels": sorted(labels.present)})
+        for e, labels in zip(manifest.images, label_sets)
+    ))
+    _write_snapshot(Path(args.out).parent, "extract", _args_snapshot(args))
     return 0
 
 
 def _cmd_augment(args) -> int:
     manifest = dataio.load_dataset(getattr(args, "in"))
     records = dataio.build_image_records(manifest)
-    out_path = Path(args.out)
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            if not record.answered:
-                continue
-            for ex in augment.generate_exemplars(record, args.mode):
-                fh.write(
-                    json.dumps(
-                        {
-                            "image_id": ex.image_id,
-                            "target_id": ex.target_question.id,
-                            "extra_ids": [q.id for q in ex.extra],
-                            "answer": ex.answer,
-                        }
-                    )
-                    + "\n"
-                )
-                count += 1
+    count = write_lines(args.out, (
+        json.dumps({"image_id": ex.image_id, "target_id": ex.target_question.id,
+                    "extra_ids": [q.id for q in ex.extra], "answer": ex.answer})
+        for record in records if record.answered
+        for ex in augment.generate_exemplars(record, args.mode)
+    ))
     logger.info("wrote %d exemplars", count)
-    _write_snapshot(out_path.parent, "augment", _args_snapshot(args))
+    _write_snapshot(Path(args.out).parent, "augment", _args_snapshot(args))
     return 0
 
 
@@ -175,15 +159,12 @@ def _cmd_predict(args) -> int:
             extras = [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None
             yield features[ref], q, extras
 
-    out_path = Path(args.out)
     answers = predict_batch(model, text_vocab, examples())
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for q, (answer, _) in zip(manifest.questions, answers):
-            fh.write(
-                json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": answer})
-                + "\n"
-            )
-    _write_snapshot(out_path.parent, "predict", _args_snapshot(args))
+    write_lines(args.out, (
+        json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": answer})
+        for q, (answer, _) in zip(manifest.questions, answers)
+    ))
+    _write_snapshot(Path(args.out).parent, "predict", _args_snapshot(args))
     return 0
 
 
@@ -255,9 +236,7 @@ def _cmd_eval(args) -> int:
             for c, pr in report.per_class.items()
         ]
 
-    with open(f"{out_prefix}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(f"{out_prefix}.json", payload)
     with open(f"{out_prefix}.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
     print(json.dumps(payload if args.task == "vqa" else {
@@ -281,11 +260,8 @@ def _cmd_bootstrap(args) -> int:
     }
     print(json.dumps(payload))
     if args.out:
-        out_path = Path(args.out)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        _write_snapshot(out_path.parent, "bootstrap", _args_snapshot(args))
+        write_json(args.out, payload)
+        _write_snapshot(Path(args.out).parent, "bootstrap", _args_snapshot(args))
     return 0
 
 
@@ -295,8 +271,7 @@ def _cmd_word_targets(args) -> int:
     corpus = list(manifest.questions)
     mode = vocabmod.WordTargetMode(args.mode)
 
-    obj_vocab = types = None
-    text_vocab = None
+    obj_vocab = types = text_vocab = None
     if mode is vocabmod.WordTargetMode.CLASSES_80:
         obj_vocab, types = _load_tables(args)
     else:
@@ -305,15 +280,16 @@ def _cmd_word_targets(args) -> int:
             if args.text_vocab
             else vocabmod.build_vocabulary(corpus, args.min_count)
         )
-
-    targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
     words = vocabmod.word_target_words(mode, text_vocab, corpus, obj_vocab)
+    if mode is vocabmod.WordTargetMode.TFIDF_1024:  # full mode over the ranked words: one ranking
+        mode, text_vocab = vocabmod.WordTargetMode.FULL, vocabmod.Vocabulary(words)
+    targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for target in targets:
-            fh.write(json.dumps({"image_id": target.image_id, "indices": target.indices()}) + "\n")
-    with open(out_path.with_suffix(out_path.suffix + ".words"), "w", encoding="utf-8") as fh:
-        fh.writelines(w + "\n" for w in words)
+    write_lines(out_path, (
+        json.dumps({"image_id": target.image_id, "indices": target.indices()})
+        for target in targets
+    ))
+    write_lines(out_path.with_suffix(out_path.suffix + ".words"), words)
     _write_snapshot(out_path.parent, "word-targets", _args_snapshot(args))
     return 0
 

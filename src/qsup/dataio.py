@@ -6,7 +6,7 @@ Binary formats (all integers little-endian, floats IEEE-754 32-bit):
                 count rows of (image_id u64, dim float32)
   model file    "QSMD" | version u32 | d_img u32 | d_t u32 | d_e u32 |
                 n_answers u32 | vocab_size u32 |
-                n_answers answers as (byte length u32, UTF-8 bytes) |
+                n_answers >= 1 distinct answers as (byte length u32, UTF-8) |
                 embed_target, embed_extra, fc_weights, fc_bias as
                 row-major float32
 """
@@ -33,7 +33,7 @@ from .errors import (
     VersionMismatch,
 )
 from .model import LinearModel, TrainConfig
-from .qparse import Question
+from .qparse import Question, read_text, write_json
 
 __all__ = [
     "ImageEntry",
@@ -78,11 +78,7 @@ class DatasetManifest:
 def _read_json(path: str | Path, lines: bool = False):
     """The JSON object in ``path``; with ``lines``, a list of (line number,
     object) for each non-blank line of a JSONL file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    text = read_text(path)
     if lines:
         chunks = [(n, c) for n, c in enumerate(text.split("\n"), start=1) if c.strip()]
     else:
@@ -214,9 +210,7 @@ def save_dataset(manifest: DatasetManifest, path: str | Path) -> None:
             for q in manifest.questions
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | None = None) -> DatasetManifest:
@@ -368,10 +362,12 @@ def load_model(path: str | Path) -> LinearModel:
         d_img, d_t, d_e, n_answers, vocab_size = struct.unpack(
             "<5I", _read_exact(fh, 20, "dimension header")
         )
+        if n_answers == 0:
+            raise ParseError(f"{path}: model has no answers")
         answers = []
         for i in range(n_answers):
             (length,) = struct.unpack("<I", _read_exact(fh, 4, f"answer {i} length"))
-            answers.append(_read_exact(fh, length, f"answer {i}").decode("utf-8"))
+            answers.append(_read_exact(fh, length, f"answer {i}"))
 
         def read_array(shape: tuple[int, ...], what: str) -> np.ndarray:
             size = int(np.prod(shape)) if shape else 1
@@ -382,7 +378,11 @@ def load_model(path: str | Path) -> LinearModel:
         embed_extra = read_array((vocab_size, d_e), "extra embedding")
         fc_weights = read_array((n_answers, d_img + d_t + d_e), "fc weights")
         fc_bias = read_array((n_answers,), "fc bias")
-    return LinearModel(embed_target, embed_extra, fc_weights, fc_bias, tuple(answers))
+    try:
+        answer_vocab = tuple(raw.decode("utf-8") for raw in answers)
+        return LinearModel(embed_target, embed_extra, fc_weights, fc_bias, answer_vocab)
+    except ValueError as exc:  # undecodable (UnicodeDecodeError) or repeated answers
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

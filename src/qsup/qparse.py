@@ -9,15 +9,18 @@ from a bounded per-process cache: multi-word classes and multi-word
 synonyms match as exact-order n-grams, single words match against names,
 synonyms and super-category members, and a matched phrase class suppresses
 its colliding one-word class so that "teddy bear" never also signals "bear".
+Every text file the package reads goes through ``read_text`` (UTF-8, else a
+ParseError); every JSON and line output, through ``write_json``/``write_lines``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import json
 import re
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +43,9 @@ __all__ = [
     "load_object_vocabulary",
     "default_question_types",
     "default_object_vocabulary",
+    "read_text",
+    "write_json",
+    "write_lines",
 ]
 
 
@@ -417,25 +423,48 @@ def _parse_object_vocab(text: str, source: str) -> ObjectVocabulary:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def load_question_types(path: str) -> QuestionTypeTable:
+def load_question_types(path: str | Path) -> QuestionTypeTable:
     """Load a question-type table from its text-file form."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_question_types(fh.read(), path)
+    return _parse_question_types(read_text(path), str(path))
 
 
-def load_object_vocabulary(path: str) -> ObjectVocabulary:
+def load_object_vocabulary(path: str | Path) -> ObjectVocabulary:
     """Load an object vocabulary from its text-file form."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_object_vocab(fh.read(), path)
+    return _parse_object_vocab(read_text(path), str(path))
 
 
 def default_question_types() -> QuestionTypeTable:
     """The packaged question-type table."""
-    text = resources.files("qsup").joinpath("data/question_types.txt").read_text("utf-8")
-    return _parse_question_types(text, "qsup/data/question_types.txt")
+    return load_question_types(Path(__file__).with_name("data") / "question_types.txt")
 
 
 def default_object_vocabulary() -> ObjectVocabulary:
     """The packaged 80-class object vocabulary."""
-    text = resources.files("qsup").joinpath("data/object_vocab.txt").read_text("utf-8")
-    return _parse_object_vocab(text, "qsup/data/object_vocab.txt")
+    return load_object_vocabulary(Path(__file__).with_name("data") / "object_vocab.txt")
+
+
+# ---------------------------------------------------------------------------
+# text files: the one reader of every text input, the two writers of every output
+
+
+def read_text(path: str | Path) -> str:
+    """UTF-8 text, newlines translated; bytes that do not decode are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def write_json(path: str | Path, payload, **options) -> None:
+    """JSON with indent 1 and a final newline; ``options`` go to ``json.dumps``."""
+    write_lines(path, [json.dumps(payload, indent=1, **options)])
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Each line plus a newline, as UTF-8 text; the number of lines written."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(line + "\n")
+    return count

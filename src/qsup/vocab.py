@@ -16,7 +16,9 @@ from .qparse import (
     Question,
     QuestionTypeTable,
     extract_objects_multi,
+    read_text,
     tokenize,
+    write_lines,
 )
 
 __all__ = [
@@ -228,14 +230,12 @@ def word_targets(
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:
     """Newline-delimited UTF-8, position = line number."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in vocab.words:
-            fh.write(word + "\n")
+    write_lines(path, vocab.words)
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    """One word per non-empty line of UTF-8; a repeated word is a ParseError."""
+    words = [line for line in read_text(path).split("\n") if line]
     repeated = [w for w, n in Counter(words).items() if n > 1]
     if repeated:
         raise ParseError(f"{path}: word {repeated[0]!r} occurs more than once")

@@ -1,7 +1,10 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
+from qsup import dataio, vocab
 from qsup.cli import main
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
 from qsup.synth import make_pair_dataset
@@ -190,6 +193,21 @@ class TestWordTargets:
         row1 = rows[0]
         assert {words[i] for i in row1["indices"]} == {"what", "color", "is", "the", "bus"}
 
+    def test_tfidf1024_mode_ranks_the_vocabulary_once(self, tmp_path, monkeypatch):
+        write_table2_fixture(tmp_path / "data.json")
+        calls = []
+        rank = vocab.tfidf_rank
+        monkeypatch.setattr(vocab, "tfidf_rank", lambda *a: calls.append(1) or rank(*a))
+        out = tmp_path / "targets.jsonl"
+        assert main(["word-targets", "--questions", str(tmp_path / "data.json"),
+                     "--mode", "tfidf1024", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        manifest = dataio.load_dataset(tmp_path / "data.json")
+        expected = vocab.word_targets(dataio.questions_by_image(manifest), "tfidf1024",
+                                      vocab.build_vocabulary(list(manifest.questions)))
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows == [{"image_id": t.image_id, "indices": t.indices()} for t in expected]
+
     def test_classes80_mode(self, tmp_path):
         write_table2_fixture(tmp_path / "data.json")
         out = tmp_path / "targets.jsonl"
@@ -294,6 +312,35 @@ def _non_utf8_manifest(base):
     return ["extract", "--questions", str(base / "odd.json"), "--out", str(base / "l.jsonl")]
 
 
+def _bytes_file(base, name, raw):
+    (base / name).write_bytes(raw)
+    return str(base / name)
+
+
+def _model_file(base, answers):
+    """A model file over pair_setup's features with one-dimensional text
+    blocks, one word and the given raw answers."""
+    d_img = len(next(iter(dataio.load_features(base / "feats.qvft").values())))
+    n = len(answers)
+    raw = struct.pack("<4sI5I", b"QSMD", 1, d_img, 1, 1, n, 1)
+    raw += b"".join(struct.pack("<I", len(a)) + a for a in answers)
+    # embeddings, fc weights and fc bias
+    raw += np.zeros(2 + n * (d_img + 2) + n, dtype="<f4").tobytes()
+    return _bytes_file(base, "m.qsmd", raw)
+
+
+def _predict_with(answers, text_vocab=b"what\n"):
+    return lambda b: ["predict", "--model", _model_file(b, answers),
+                      "--vocab", _bytes_file(b, "v.txt", text_vocab),
+                      "--features", str(b / "feats.qvft"), "--questions", str(b / "data.json"),
+                      "--out", str(b / "p.jsonl")]
+
+
+def _extract_with(flag, raw):
+    return lambda b: ["extract", "--questions", str(b / "data.json"),
+                      flag, _bytes_file(b, "table.txt", raw), "--out", str(b / "l.jsonl")]
+
+
 # (argv built from the pair_setup directory, expected exit code):
 # 1 = bad flag value or combination, 2 = bad data
 CONTRACT_CASES = {
@@ -368,7 +415,19 @@ CONTRACT_CASES = {
                    "--text-vocab", _repeated_word_vocab(b), "--out", str(b / "t.jsonl")], 2),
     "train_config_vocab_repeated_word": (
         lambda b: _run_config_with(b, vocab=_repeated_word_vocab(b)), 2),
+    "predict_non_utf8_text_vocab": (_predict_with([b"yes"], b"what\n\xff\n"), 2),
+    "extract_non_utf8_question_types": (
+        _extract_with("--types", b"[confirmed]\nwhat\n[unconfirmed]\nis \xff\n"), 2),
+    "extract_non_utf8_object_vocabulary": (_extract_with("--vocab", b"cat\n\xff\n"), 2),
+    "predict_model_non_utf8_answer": (_predict_with([b"yes", b"\xffno"]), 2),
+    "predict_model_repeated_answer": (_predict_with([b"yes", b"yes"]), 2),
+    "predict_model_no_answers": (_predict_with([]), 2),
 }
+
+
+def test_predict_reads_the_well_formed_contract_model(pair_setup):
+    assert main(_predict_with([b"yes", b"no"])(pair_setup)) == 0
+    assert len((pair_setup / "p.jsonl").read_text().splitlines()) == 120
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsup import qparse as qparse_module
-from qsup.errors import MalformedQuestion, MixedImages
+from qsup.errors import MalformedQuestion, MixedImages, ParseError
 from qsup.qparse import (
     LabelSet,
     ObjectClass,
@@ -17,7 +17,10 @@ from qsup.qparse import (
     extract_objects,
     extract_objects_multi,
     normalize_token,
+    read_text,
     tokenize,
+    write_json,
+    write_lines,
 )
 
 
@@ -432,3 +435,25 @@ def test_a_pass_never_matches_a_window_cut_short_by_the_question_end():
     question = q("what p q r s")
     assert extract_objects(question, vocab, table).present == {"p q r"}
     assert full_scan_extract(question, vocab, table) == {"p q r"}
+
+
+class TestTextFiles:
+    def test_json_writer_bytes(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": [1, "\u00e9"], "a": None}, sort_keys=True)
+        assert (tmp_path / "a.json").read_bytes() == (
+            b'{\n "a": null,\n "b": [\n  1,\n  "\\u00e9"\n ]\n}\n')
+
+    def test_line_writer_bytes_and_count(self, tmp_path):
+        assert write_lines(tmp_path / "l.txt", iter(["x", "\u00e9", ""])) == 3
+        assert (tmp_path / "l.txt").read_bytes() == b"x\n\xc3\xa9\n\n"
+        assert write_lines(tmp_path / "e.txt", []) == 0
+        assert (tmp_path / "e.txt").read_bytes() == b""
+
+    def test_reader_translates_newlines(self, tmp_path):
+        (tmp_path / "t.txt").write_bytes(b"a\r\nb\rc\n")
+        assert read_text(tmp_path / "t.txt") == "a\nb\nc\n"
+
+    def test_reader_rejects_bytes_that_do_not_decode(self, tmp_path):
+        (tmp_path / "t.txt").write_bytes(b"ok\n\xff")
+        with pytest.raises(ParseError, match=r"t\.txt: not UTF-8 text \(invalid start byte at byte 3\)"):
+            read_text(tmp_path / "t.txt")
