@@ -1,5 +1,13 @@
 """Training-exemplar generation: per-image question sets, powerset
-augmentation, and the dataset simulations used in the experiments."""
+augmentation, and the dataset simulations used in the experiments.
+
+An image's exemplars are enumerated as index arrays: each row is a target
+question plus extra questions selected by a mask, where bit b picks question
+b of ``answered + unanswered``.  ``exemplar_rows`` gives the rows of many
+images as one ``ExemplarRows`` without an object per exemplar, for training;
+``generate_exemplars`` streams the same rows of one image as ``Exemplar``
+objects, a bounded number of rows at a time.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +26,9 @@ __all__ = [
     "ImageRecord",
     "Exemplar",
     "AugmentMode",
+    "ExemplarRows",
     "generate_exemplars",
+    "exemplar_rows",
     "simulate_unanswered",
     "simulate_answered_fraction",
 ]
@@ -81,6 +91,38 @@ def _coerce_mode(mode: AugmentMode | str) -> AugmentMode:
         raise UnknownMode(f"unknown augmentation mode {mode!r}") from None
 
 
+_STREAM_ROWS = 4096  # exemplars enumerated at a time by generate_exemplars; bounds its memory
+
+
+def _rows_per_target(n_total: int, mode: AugmentMode) -> int:
+    """Exemplars per answered question of an image with ``n_total`` questions."""
+    if mode in (AugmentMode.POWERSET, AugmentMode.POWERSET_NO_EMPTY):
+        return 2**n_total - (mode is AugmentMode.POWERSET_NO_EMPTY)
+    return 1
+
+
+def _exemplar_rows(n_answered: int, n_total: int, mode: AugmentMode,
+                   lo: int = 0, hi: int | None = None):
+    """(targets, extra_ptr, extras) of exemplars ``lo:hi`` of one image, in
+    ``generate_exemplars`` order, as indices into its ``answered +
+    unanswered`` questions: row r has the target ``targets[r]`` and the
+    extras ``extras[extra_ptr[r]:extra_ptr[r + 1]]``, in ascending order."""
+    start = 1 if mode is AugmentMode.POWERSET_NO_EMPTY else 0
+    per_target = _rows_per_target(n_total, mode)
+    total = n_answered * per_target
+    targets, masks = np.divmod(np.arange(lo, total if hi is None else min(hi, total)), per_target)
+    others = np.arange(n_total)
+    if mode is AugmentMode.PLAIN:
+        chosen = np.zeros((len(targets), n_total), bool)
+    elif mode is AugmentMode.CONCAT_ONLY:
+        chosen = others != targets[:, None]
+    else:  # a binary counter over the subsets: bit b of the mask selects question b
+        chosen = (masks + start)[:, None] >> others & 1
+    extra_ptr = np.zeros(len(targets) + 1, np.intp)
+    np.cumsum(chosen.sum(axis=1), out=extra_ptr[1:])
+    return targets, extra_ptr, np.nonzero(chosen)[1]
+
+
 def generate_exemplars(
     record: ImageRecord, mode: AugmentMode | str = AugmentMode.POWERSET
 ) -> Iterator[Exemplar]:
@@ -101,22 +143,50 @@ def generate_exemplars(
 
     def _generate() -> Iterator[Exemplar]:
         q_all = record.all_questions
-        n = len(q_all)
-        for target in record.answered:
-            answer = target.answer
-            assert answer is not None
-            if mode is AugmentMode.PLAIN:
-                yield Exemplar(record.image_id, target, (), answer)
-            elif mode is AugmentMode.CONCAT_ONLY:
-                extras = tuple(q for q in q_all if q.id != target.id)
-                yield Exemplar(record.image_id, target, extras, answer)
-            else:
-                start = 1 if mode is AugmentMode.POWERSET_NO_EMPTY else 0
-                for mask in range(start, 2**n):
-                    extras = tuple(q_all[b] for b in range(n) if mask >> b & 1)
-                    yield Exemplar(record.image_id, target, extras, answer)
+        m, n = len(record.answered), len(q_all)
+        for lo in range(0, m * _rows_per_target(n, mode), _STREAM_ROWS):
+            rows = _exemplar_rows(m, n, mode, lo, lo + _STREAM_ROWS)
+            targets, extra_ptr, extras = (part.tolist() for part in rows)
+            for row, target in enumerate(targets):
+                chosen = extras[extra_ptr[row] : extra_ptr[row + 1]]
+                answer = q_all[target].answer
+                assert answer is not None
+                yield Exemplar(record.image_id, q_all[target],
+                               tuple(map(q_all.__getitem__, chosen)), answer)
 
     return _generate()
+
+
+class ExemplarRows(NamedTuple):
+    """Exemplars as index arrays over ``questions``: row r is an exemplar of
+    image ``image_ids[r]`` with the target ``questions[targets[r]]``, whose
+    answer it takes, and the extras ``questions[extras[extra_ptr[r]:extra_ptr[r + 1]]]``."""
+
+    questions: tuple[Question, ...]
+    image_ids: np.ndarray
+    targets: np.ndarray
+    extra_ptr: np.ndarray
+    extras: np.ndarray
+
+
+def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> ExemplarRows:
+    """The exemplars ``generate_exemplars`` gives for each record with an
+    answered question, in the same order, with no object per exemplar."""
+    mode = _coerce_mode(mode)
+    questions: list[Question] = []
+    image_ids, targets, extra_ptr, extras = [], [], [np.zeros(1, np.intp)], []
+    for record in records:
+        if not record.answered:
+            continue
+        rows, ptr, chosen = _exemplar_rows(len(record.answered), len(record.all_questions), mode)
+        image_ids.append(np.full(len(rows), record.image_id, np.int64))
+        targets.append(rows + len(questions))
+        extras.append(chosen + len(questions))
+        extra_ptr.append(ptr[1:] + extra_ptr[-1][-1])
+        questions.extend(record.all_questions)
+    empty = [np.zeros(0, np.intp)]
+    return ExemplarRows(tuple(questions), *(np.concatenate(part or empty)
+                                            for part in (image_ids, targets, extra_ptr, extras)))
 
 
 def _strip_answer(question: Question) -> Question:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import logging
 import os
@@ -122,15 +121,18 @@ def _cmd_train(args) -> int:
             raise DanglingReference(f"image {record.image_id}: no features under ref {ref}")
         features[record.image_id] = feature_file[ref]
 
+    # each distinct text tokenized once; interned, texts share each token's string
+    tokens = {
+        text: tuple(map(sys.intern, qparse.tokenize(text)))
+        for text in dict.fromkeys(q.text for q in manifest.questions)
+    }
     text_vocab = (
         vocabmod.load_vocabulary(cfg.vocab)
         if cfg.vocab is not None
-        else vocabmod.build_vocabulary(list(manifest.questions), cfg.min_count)
+        else vocabmod.build_vocabulary(manifest.questions, cfg.min_count, tokens)
     )
-    exemplar_stream = itertools.chain.from_iterable(
-        augment.generate_exemplars(r, cfg.augment_mode) for r in records if r.answered
-    )
-    model = train(exemplar_stream, features, text_vocab, cfg.train)
+    rows = augment.exemplar_rows(records, cfg.augment_mode)
+    model = train(rows, features, text_vocab, cfg.train, tokens=tokens)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, cfg.out_dir / "model.qsmd")

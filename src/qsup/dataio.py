@@ -282,23 +282,23 @@ def build_image_records(manifest: DatasetManifest) -> list[ImageRecord]:
 
 
 # ---------------------------------------------------------------------------
-# binary helpers
+# binary helpers: their errors name the file, since one command reads several
 
 
 def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
     data = fh.read(size)
     if len(data) != size:
-        raise TruncatedFile(f"file ended while reading {what}")
+        raise TruncatedFile(f"{fh.name}: file ended while reading {what}")
     return data
 
 
 def _check_header(fh: BinaryIO, magic: bytes) -> None:
     got = _read_exact(fh, 4, "magic")
     if got != magic:
-        raise BadMagic(f"expected magic {magic!r}, found {got!r}")
+        raise BadMagic(f"{fh.name}: expected magic {magic!r}, found {got!r}")
     (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported format version {version}")
+        raise VersionMismatch(f"{fh.name}: unsupported format version {version}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         for name in ("embed_target", "embed_extra", "fc_weights", "fc_bias"):
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4"))
 
 
 def load_model(path: str | Path) -> LinearModel:

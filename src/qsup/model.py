@@ -9,18 +9,23 @@ A learned affine layer plus softmax predicts the answer class.
 into one bag-of-words row (CSR arrays of positions, counts and row offsets)
 and describe each example by indices: an image row, the target question's
 row and the extra questions' rows.  The extra block's bag is the sum of its
-rows, since joining texts with a space never merges tokens.  A batch's count
-matrix gathers those rows over just the words the batch uses, and one
-batched forward pass over it serves training, the full-data loss and predict
-(64 examples at a time).  Training is plain mini-batch SGD with analytic
-gradients, including the Jacobian of the L2 normalization applied to the two
-text blocks; each step updates only the embedding rows of words in the
-batch, the only rows with a gradient.  The one-example API (``FeatureBlock``,
-``forward``, ``loss_and_grad``) builds its batches the same way.
+rows, since joining texts with a space never merges tokens.  ``train`` reads
+these indices straight from ``augment.ExemplarRows``, so no object is made
+per exemplar; Exemplar objects are first turned into such rows.  A batch's
+count matrix gathers its examples' rows over just the words the batch uses,
+and one batched forward pass over it serves training, the full-data loss and
+predict (64 examples at a time).  Training assembles the count matrices of a
+window of consecutive minibatches from one sort of (batch, word) keys.  It is
+plain mini-batch SGD with analytic gradients, including the Jacobian of the
+L2 normalization applied to the two text blocks; each step updates only the
+embedding rows of words in the batch, the only rows with a gradient.  The
+one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``) builds its
+batches the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import logging
@@ -30,7 +35,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 
 import numpy as np
 
-from .augment import Exemplar
+from .augment import Exemplar, ExemplarRows
 from .errors import (
     DanglingReference,
     DimMismatch,
@@ -62,6 +67,7 @@ logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 _PREDICT_CHUNK = 64  # examples per predict forward pass; bounds its memory
+_WINDOW_SLOTS = 1 << 14  # bag entries per window of training batches; bounds its index arrays
 
 
 class ModelDims(NamedTuple):
@@ -239,22 +245,55 @@ def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.arange(len(owners)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), owners
 
 
-def _count_matrix(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, idx: np.ndarray):
-    """(words, counts) for examples ``idx`` of one text block: the sorted
-    positions of the words they use and the (examples, words) matrix of the
-    summed counts of each example's bag rows."""
-    lists, examples = _segments(ptr, idx)
+def _count_matrices(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, window: np.ndarray,
+                    batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(words, counts) of one text block for each ``batch_size`` slice of
+    the examples ``window`` in turn: the sorted positions of the words the
+    slice uses and the (examples, words) matrix of the summed counts of each
+    example's bag rows.  One sort of (batch, word) keys serves the window."""
+    lists, examples = _segments(ptr, window)
     slots, owners = _segments(bags.ptr, rows[lists])
-    words, cols = np.unique(bags.positions[slots], return_inverse=True)
-    counts = np.zeros((len(idx), len(words)))
-    np.add.at(counts, (examples[owners], cols), bags.counts[slots])
-    return words, counts
+    places = examples[owners]  # non-decreasing, so each batch's slots are contiguous
+    batches = places // batch_size
+    positions = bags.positions[slots]
+    span = int(positions.max()) + 1 if len(positions) else 1
+    keys, cols = np.unique(batches * span + positions, return_inverse=True)
+    n_batches = -(-len(window) // batch_size)
+    starts = np.arange(n_batches + 1)
+    key_bounds = np.searchsorted(keys, starts * span)
+    slot_bounds = np.searchsorted(batches, starts)
+    widths = np.diff(key_bounds)
+    # each slot's flat index in its batch's (examples, words) matrix
+    cells = (places - batches * batch_size) * widths[batches] + cols - key_bounds[batches]
+    weights = bags.counts[slots]
+    for b in range(n_batches):
+        size = min(batch_size, len(window) - b * batch_size)
+        part = slice(slot_bounds[b], slot_bounds[b + 1])
+        counts = np.bincount(cells[part], weights[part], minlength=size * widths[b])
+        yield keys[key_bounds[b] : key_bounds[b + 1]] - b * span, counts.reshape(size, widths[b])
 
 
 def _batch(examples: _Examples, idx: np.ndarray):
     """(image rows, (words, counts) per text block) for examples ``idx``."""
-    texts = [_count_matrix(examples.bags, ptr, rows, idx) for ptr, rows in examples.texts]
+    texts = [next(_count_matrices(examples.bags, ptr, rows, idx, len(idx)))
+             for ptr, rows in examples.texts]
     return examples.images[examples.image_rows[idx]], texts
+
+
+def _batches(examples: _Examples, order: np.ndarray, batch_size: int):
+    """(idx, ``_batch(examples, idx)``) for each ``batch_size`` slice idx of
+    ``order``, assembled a window of batches at a time."""
+    sizes = np.diff(examples.bags.ptr)
+    slots = sum(int(sizes[rows].sum()) for _, rows in examples.texts)
+    per_slot = len(examples.image_rows) / max(slots, 1)
+    window = batch_size * max(1, int(_WINDOW_SLOTS * per_slot) // batch_size)
+    for lo in range(0, len(order), window):
+        part = order[lo : lo + window]
+        texts = zip(*(_count_matrices(examples.bags, ptr, rows, part, batch_size)
+                      for ptr, rows in examples.texts))
+        for start, counts in zip(range(0, len(part), batch_size), texts):
+            idx = part[start : start + batch_size]
+            yield idx, (examples.images[examples.image_rows[idx]], list(counts))
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +306,8 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
     one = np.arange(1)
-    words, matrix = _count_matrix(_bag_rows([counts], embedding.shape[0]), np.arange(2), one, one)
+    bags = _bag_rows([counts], embedding.shape[0])
+    words, matrix = next(_count_matrices(bags, np.arange(2), one, one, 1))
     return (matrix @ embedding[words])[0]
 
 
@@ -381,58 +421,111 @@ def loss_and_grad(
 
 def build_answer_vocab(answers: Iterable[str], size: int) -> tuple[str, ...]:
     """The ``size`` most frequent answers, most frequent first, ties A-Z."""
-    counts = Counter(answers)
+    return _top_answers(Counter(answers), size)
+
+
+def _top_answers(counts: Mapping[str, int], size: int) -> tuple[str, ...]:
     ranked = sorted(counts, key=lambda a: (-counts[a], a))
     return tuple(ranked[:size])
 
 
+def _rows_of(exemplars: Iterable[Exemplar]) -> ExemplarRows:
+    """Exemplar objects as ExemplarRows over their distinct question objects."""
+    questions: list[Question] = []
+    index: dict[int, int] = {}  # id() of an object in questions -> its place
+
+    def place(question: Question) -> int:
+        if id(question) not in index:
+            index[id(question)] = len(questions)
+            questions.append(question)
+        return index[id(question)]
+
+    image_ids, targets, extras, extra_ptr = [], [], [], [0]
+    for e in exemplars:
+        target = e.target_question
+        if target.answer != e.answer:
+            target = dataclasses.replace(target, answer=e.answer)
+        image_ids.append(e.image_id)
+        targets.append(place(target))
+        extras.extend(map(place, e.extra))
+        extra_ptr.append(len(extras))
+    return ExemplarRows(tuple(questions), *(np.array(part, np.intp)
+                                            for part in (image_ids, targets, extra_ptr, extras)))
+
+
+def _index_rows(
+    rows: ExemplarRows,
+    features: Mapping[int, np.ndarray],
+    vocab: Vocabulary,
+    answer_vocab_size: int,
+    tokens: Mapping[str, Sequence[str]] | None,
+) -> tuple[_Examples, np.ndarray, tuple[str, ...]]:
+    """(examples, labels, answer vocabulary) of the rows whose answer is in
+    the vocabulary of the ``answer_vocab_size`` most frequent row answers."""
+    n_rows = len(rows.targets)
+    if not n_rows:
+        raise NoTrainableExemplars("empty exemplar stream")
+    answer_ids: dict[str | None, int] = {}
+    question_answer = np.array(
+        [answer_ids.setdefault(q.answer, len(answer_ids)) for q in rows.questions], np.intp)
+    row_answers = question_answer[rows.targets]
+    counts = np.bincount(row_answers, minlength=len(answer_ids)).tolist()
+    answer_vocab = _top_answers(
+        {a: c for a, c in zip(answer_ids, counts) if c}, answer_vocab_size)
+    label_of = {a: i for i, a in enumerate(answer_vocab)}
+    labels = np.array([label_of.get(a, -1) for a in answer_ids], np.int64)[row_answers]
+    keep = labels >= 0
+    n = int(keep.sum())
+    logger.info("exemplars: %d generated, %d kept, %d dropped with out-of-vocabulary answers",
+                n_rows, n, n_rows - n)
+    if not n:
+        raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
+
+    image_ids, image_rows = np.unique(rows.image_ids[keep], return_inverse=True)
+    for image_id in image_ids.tolist():
+        if image_id not in features:
+            raise DanglingReference(f"no features for image {image_id}")
+    vectors = [features[image_id] for image_id in image_ids.tolist()]
+    # normalized twice, as by make_feature_block on a normalized vector, so
+    # that results stay bit for bit those of per-example blocks
+    images = l2_normalize(l2_normalize(_image_matrix(vectors, np.shape(vectors[0])[0])))
+    sizes = np.diff(rows.extra_ptr)
+    extra_ptr = np.zeros(n + 1, np.intp)
+    np.cumsum(sizes[keep], out=extra_ptr[1:])
+    targets, extras = rows.targets[keep], rows.extras[np.repeat(keep, sizes)]
+    # one bag row per distinct text of the questions the kept rows use
+    used = np.zeros(len(rows.questions), bool)
+    used[targets] = used[extras] = True
+    text_rows: dict[str, int] = {}
+    question_rows = np.zeros(len(rows.questions), np.intp)
+    question_rows[used] = [text_rows.setdefault(rows.questions[i].text, len(text_rows))
+                           for i in np.flatnonzero(used).tolist()]
+    bags = _bag_rows([bow_featurize(text, vocab, None if tokens is None else tokens[text])
+                      for text in text_rows], len(vocab))
+    texts = ((np.arange(n + 1), question_rows[targets]), (extra_ptr, question_rows[extras]))
+    return _Examples(images, image_rows, bags, texts), labels[keep], answer_vocab
+
+
 def train(
-    exemplars: Iterable[Exemplar],
+    exemplars: Iterable[Exemplar] | ExemplarRows,
     features: Mapping[int, np.ndarray],
     vocab: Vocabulary,
     config: TrainConfig,
     on_epoch_end: Callable[[int, float], None] | None = None,
+    tokens: Mapping[str, Sequence[str]] | None = None,
 ) -> LinearModel:
-    """Mini-batch SGD over the exemplar stream; deterministic given the seed.
+    """Mini-batch SGD over the exemplars; deterministic given the seed.
 
-    The answer vocabulary is the most frequent answers in the stream;
-    exemplars whose answer falls outside it are dropped (and counted in the
-    log).  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
+    ``exemplars`` are Exemplar objects or ExemplarRows; both give the same
+    model.  The answer vocabulary is the most frequent exemplar answers;
+    exemplars whose answer falls outside it are dropped, and the counts
+    are logged.  ``tokens``, when given, holds the tokens of every question
+    text.  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
     epoch when provided, computed ``batch_size`` examples at a time.
     """
-    exemplar_list = list(exemplars)
-    if not exemplar_list:
-        raise NoTrainableExemplars("empty exemplar stream")
-
-    answer_vocab = build_answer_vocab(
-        (e.answer for e in exemplar_list), config.answer_vocab_size
-    )
-    answer_index = {a: i for i, a in enumerate(answer_vocab)}
-    kept = [e for e in exemplar_list if e.answer in answer_index]
-    dropped = len(exemplar_list) - len(kept)
-    if dropped:
-        logger.info("dropped %d exemplars with out-of-vocabulary answers", dropped)
-    if not kept:
-        raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
-
-    image_ids = list(dict.fromkeys(e.image_id for e in kept))  # in order of first use
-    for image_id in image_ids:
-        if image_id not in features:
-            raise DanglingReference(f"no features for image {image_id}")
-    image_rows = {image_id: row for row, image_id in enumerate(image_ids)}
-    vectors = [features[image_id] for image_id in image_ids]
-    d_img = np.shape(vectors[0])[0]
-    # normalized twice, as by make_feature_block on a normalized vector, so
-    # that results stay bit for bit those of per-example blocks
-    images = l2_normalize(l2_normalize(_image_matrix(vectors, d_img)))
-    examples = _index_examples(
-        images,
-        ((image_rows[e.image_id], e.target_question.text, [q.text for q in e.extra])
-         for e in kept),
-        functools.partial(bow_featurize, vocab=vocab),
-        len(vocab),
-    )
-    labels = np.array([answer_index[e.answer] for e in kept], dtype=np.int64)
+    rows = exemplars if isinstance(exemplars, ExemplarRows) else _rows_of(exemplars)
+    examples, labels, answer_vocab = _index_rows(
+        rows, features, vocab, config.answer_vocab_size, tokens)
 
     d = config.embed_dim
     n_answers = len(answer_vocab)
@@ -442,31 +535,27 @@ def train(
     model = LinearModel(
         embed_target=rng.uniform(-s, s, (v, d)),
         embed_extra=rng.uniform(-s, s, (v, d)),
-        fc_weights=rng.uniform(-s, s, (n_answers, d_img + 2 * d)),
+        fc_weights=rng.uniform(-s, s, (n_answers, examples.images.shape[1] + 2 * d)),
         fc_bias=rng.uniform(-s, s, n_answers),
         answer_vocab=answer_vocab,
     )
 
-    n = len(kept)
+    n = len(labels)
     lr = config.learning_rate
-    chunks = range(0, n, config.batch_size)
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for lo in chunks:
-            idx = order[lo : lo + config.batch_size]
-            _, d_weights, d_bias, embeds = _backward(model, _batch(examples, idx), labels[idx])
+        for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
+            _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
             model.fc_weights -= lr * d_weights
             model.fc_bias -= lr * d_bias
-            for embedding, (words, rows) in zip((model.embed_target, model.embed_extra), embeds):
-                embedding[words] -= lr * rows
+            for embedding, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):
+                embedding[words] -= lr * grad
         for param in model.parameters().values():
             if not np.isfinite(param).all():
                 raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
         if on_epoch_end is not None:
             nll = 0.0
-            for lo in chunks:
-                idx = np.arange(lo, min(lo + config.batch_size, n))
-                log_probs = _forward(model, _batch(examples, idx))[0]
+            for idx, batch in _batches(examples, np.arange(n), config.batch_size):
+                log_probs = _forward(model, batch)[0]
                 nll -= log_probs[np.arange(len(idx)), labels[idx]].sum()
             on_epoch_end(epoch, float(nll / n))
     return model

@@ -83,15 +83,25 @@ class BowVector:
         return BowVector(dict(merged), self.vocab_size)
 
 
-def build_vocabulary(corpus: Sequence[Question], min_count: int = 1) -> Vocabulary:
-    """All tokens with frequency >= min_count, most frequent first, ties A-Z."""
+def build_vocabulary(
+    corpus: Sequence[Question],
+    min_count: int = 1,
+    tokens: Mapping[str, Sequence[str]] | None = None,
+) -> Vocabulary:
+    """All tokens with frequency >= min_count, most frequent first, ties A-Z.
+
+    Each distinct question text is tokenized once and counts once per
+    question; ``tokens``, when given, holds the tokens of every distinct text.
+    """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from zero questions")
     counts = Counter()
-    for q in corpus:
-        counts.update(tokenize(q.text))
+    for text, n in Counter(q.text for q in corpus).items():
+        toks = tokenize(text) if tokens is None else tokens[text]
+        for _ in range(n):
+            counts.update(toks)
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
         key=lambda w: (-counts[w], w),
@@ -99,10 +109,11 @@ def build_vocabulary(corpus: Sequence[Question], min_count: int = 1) -> Vocabula
     return Vocabulary(kept)
 
 
-def bow_featurize(text: str, vocab: Vocabulary) -> BowVector:
-    """Count in-vocabulary tokens; out-of-vocabulary tokens are dropped."""
+def bow_featurize(text: str, vocab: Vocabulary, tokens: Sequence[str] | None = None) -> BowVector:
+    """Count in-vocabulary tokens of ``text``, or of its ``tokens`` when the
+    caller has them already; out-of-vocabulary tokens are dropped."""
     entries = Counter()
-    for tok in tokenize(text):
+    for tok in tokenize(text) if tokens is None else tokens:
         pos = vocab.index.get(tok)
         if pos is not None:
             entries[pos] += 1

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsup import augment
 from qsup.augment import (
     AugmentMode,
     ImageRecord,
+    _exemplar_rows,
+    exemplar_rows,
     generate_exemplars,
     simulate_answered_fraction,
     simulate_unanswered,
@@ -102,6 +105,79 @@ class TestGenerateExemplars:
         plain = {as_triple(e) for e in generate_exemplars(record, AugmentMode.PLAIN)}
         powerset = {as_triple(e) for e in generate_exemplars(record, AugmentMode.POWERSET)}
         assert plain <= powerset
+
+
+def reference_rows(m, n, mode):
+    """(target, extras) per exemplar of m answered among n questions, by the
+    binary-counter loop over each mask's bits."""
+    for target in range(m):
+        if mode is AugmentMode.PLAIN:
+            yield target, ()
+        elif mode is AugmentMode.CONCAT_ONLY:
+            yield target, tuple(b for b in range(n) if b != target)
+        else:
+            start = 1 if mode is AugmentMode.POWERSET_NO_EMPTY else 0
+            for mask in range(start, 2**n):
+                yield target, tuple(b for b in range(n) if mask >> b & 1)
+
+
+def as_rows(targets, extra_ptr, extras):
+    return [(int(t), tuple(extras[extra_ptr[r] : extra_ptr[r + 1]].tolist()))
+            for r, t in enumerate(targets)]
+
+
+class TestExemplarRows:
+    @given(m=st.integers(1, 8), n_unanswered=st.integers(0, 7),
+           mode=st.sampled_from(list(AugmentMode)), shared_text=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_enumerator_rows_equal_generated_exemplars(self, m, n_unanswered, mode, shared_text):
+        n_unanswered = min(n_unanswered, 8 - m)
+        n = m + n_unanswered
+        texts = [f"what is thing {i}" for i in range(n)]
+        if shared_text:
+            texts[-1] = texts[0]
+        record = ImageRecord(
+            1, tuple(Question(f"a{i}", 1, texts[i], answer=f"ans{i}") for i in range(m)),
+            tuple(Question(f"u{i}", 1, texts[i]) for i in range(m, n)))
+        rows = as_rows(*_exemplar_rows(m, n, mode))
+        assert rows == list(reference_rows(m, n, mode))
+        q_all = record.all_questions
+        assert [(q_all[t], tuple(q_all[b] for b in extras)) for t, extras in rows] == [
+            (e.target_question, e.extra) for e in generate_exemplars(record, mode)]
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_generate_exemplars_streams_across_row_chunks(self, mode, monkeypatch):
+        monkeypatch.setattr(augment, "_STREAM_ROWS", 5)
+        record = make_record(3, 2)
+        q_all = record.all_questions
+        assert [(e.target_question, e.extra) for e in generate_exemplars(record, mode)] == [
+            (q_all[t], tuple(q_all[b] for b in extras))
+            for t, extras in reference_rows(3, 5, mode)]
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_row_ranges_concatenate_to_all_rows(self, mode):
+        everything = as_rows(*_exemplar_rows(3, 5, mode))
+        pieces = [as_rows(*_exemplar_rows(3, 5, mode, lo, lo + 7)) for lo in range(0, 200, 7)]
+        assert sum(pieces, []) == everything
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_records_give_the_generated_exemplars_in_order(self, mode):
+        records = [make_record(2, 1, image_id=7), ImageRecord(8, (), make_record(0, 2).unanswered),
+                   make_record(1, 0, image_id=9), make_record(3, 2, image_id=10)]
+        rows = exemplar_rows(records, mode.value)
+        q = rows.questions
+        got = [(int(i), q[t], tuple(q[b] for b in extras)) for i, (t, extras) in
+               zip(rows.image_ids, as_rows(rows.targets, rows.extra_ptr, rows.extras))]
+        assert got == [(e.image_id, e.target_question, e.extra) for r in records if r.answered
+                       for e in generate_exemplars(r, mode)]
+
+    def test_no_answered_records_give_no_rows(self):
+        rows = exemplar_rows([ImageRecord(1, (), make_record(0, 2).unanswered)], "powerset")
+        assert len(rows.targets) == 0 and rows.extra_ptr.tolist() == [0]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(UnknownMode):
+            exemplar_rows([make_record(1, 0)], "bogus")
 
 
 def question_texts(records):

@@ -1,10 +1,12 @@
 import json
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsup import dataio, vocab
+from qsup import dataio, qparse, vocab
 from qsup.cli import main
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
 from qsup.synth import make_pair_dataset
@@ -141,6 +143,25 @@ class TestTrainPredictEval:
                      "--out", str(base / "ci.json")]) == 0
         ci = json.loads((base / "ci.json").read_text())
         assert ci["lower"] <= ci["accuracy"] <= ci["upper"]
+
+    @pytest.mark.parametrize("given_vocab", [False, True])
+    def test_train_tokenizes_each_distinct_text_once(self, pair_setup, monkeypatch, given_vocab):
+        config = pair_setup / "run.json"
+        if given_vocab:
+            (pair_setup / "vocab.txt").write_text("what\ncolor\nis\n")
+            config.write_text(json.dumps({**json.loads(config.read_text()), "vocab": "vocab.txt"}))
+        calls = Counter()
+
+        def counting_tokenize(text, tokenize=qparse.tokenize):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(qparse, "tokenize", counting_tokenize)
+        monkeypatch.setattr(vocab, "tokenize", counting_tokenize)
+        assert main(["train", "--config", str(config)]) == 0
+        texts = Counter(q.text for q in dataio.load_dataset(pair_setup / "data.json").questions)
+        assert len(texts) < sum(texts.values())  # texts repeat across questions
+        assert calls == Counter(dict.fromkeys(texts, 1))
 
     def test_eval_rerun_is_reproducible(self, pair_setup, capsys):
         base = pair_setup
@@ -336,6 +357,17 @@ def _predict_with(answers, text_vocab=b"what\n"):
                       "--out", str(b / "p.jsonl")]
 
 
+def _predict_with_cut_file(flag, cut):
+    """predict with a well-formed model and features, the file of ``flag``
+    replaced by ``cut`` of its bytes."""
+    def build(base):
+        argv = _predict_with([b"yes", b"no"])(base)
+        at = argv.index(flag) + 1
+        argv[at] = _bytes_file(base, "cut.bin", cut(Path(argv[at]).read_bytes()))
+        return argv
+    return build
+
+
 def _extract_with(flag, raw):
     return lambda b: ["extract", "--questions", str(b / "data.json"),
                       flag, _bytes_file(b, "table.txt", raw), "--out", str(b / "l.jsonl")]
@@ -422,7 +454,21 @@ CONTRACT_CASES = {
     "predict_model_non_utf8_answer": (_predict_with([b"yes", b"\xffno"]), 2),
     "predict_model_repeated_answer": (_predict_with([b"yes", b"yes"]), 2),
     "predict_model_no_answers": (_predict_with([]), 2),
+    "predict_truncated_model": (_predict_with_cut_file("--model", lambda raw: raw[:100]), 2),
+    "predict_truncated_features": (
+        _predict_with_cut_file("--features", lambda raw: raw[:1000]), 2),
+    "predict_features_wrong_magic": (
+        _predict_with_cut_file("--features", lambda raw: b"XXXX" + raw[4:]), 2),
 }
+
+
+@pytest.mark.parametrize("case, flag", [("predict_truncated_model", "--model"),
+                                        ("predict_truncated_features", "--features"),
+                                        ("predict_features_wrong_magic", "--features")])
+def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
+    argv = CONTRACT_CASES[case][0](pair_setup)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"qsup: error: {argv[argv.index(flag) + 1]}: ")
 
 
 def test_predict_reads_the_well_formed_contract_model(pair_setup):

@@ -1,12 +1,14 @@
 import itertools
+import logging
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import qsup.model as model_module
 import qsup.vocab as vocab_module
-from qsup.augment import AugmentMode, ImageRecord, generate_exemplars
+from qsup.augment import AugmentMode, ImageRecord, exemplar_rows, generate_exemplars
 from qsup.errors import DimMismatch, EmptyBatch, NoTrainableExemplars
 from qsup.model import (
     FeatureBlock,
@@ -569,3 +571,92 @@ class TestQuestionRows:
         assert len(list(predict_batch(model, vocab, examples))) == len(examples)
         assert set(calls) == texts
         assert max(calls.values()) == 1
+
+
+def oov_setup():
+    """Images whose answers are yes x2, black and rare: with two answers kept,
+    every mode drops the exemplars of image 3, which comes first and has no
+    features.  Image 4 has no answered question, and question texts repeat
+    within and across images."""
+    records = [
+        ImageRecord(3, (Question("q7", 3, "Which cat is rare?", "rare"),),
+                    (Question("q8", 3, "Is the mat red?"),)),
+        ImageRecord(1, (Question("q1", 1, "What color is the cat?", "black"),
+                        Question("q2", 1, "Is the cat on the mat?", "yes")),
+                    (Question("q3", 1, "What color is the cat?"),)),
+        ImageRecord(4, (), (Question("q9", 4, "Is the mat red?"),)),
+        ImageRecord(2, (Question("q4", 2, "Is the cat on the mat?", "yes"),),
+                    (Question("q5", 2, "Is the dog-house red?"),
+                     Question("q6", 2, "is THE dog house red"))),
+    ]
+    rng = np.random.default_rng(17)
+    features = {image_id: rng.normal(size=4) for image_id in (1, 2, 4)}
+    vocab = build_vocabulary([q for r in records for q in r.all_questions])
+    return records, features, vocab
+
+
+OOV_CONFIG = TrainConfig(learning_rate=0.5, epochs=2, batch_size=5, seed=8,
+                         answer_vocab_size=2, weight_init_scale=0.05, embed_dim=6)
+
+
+def reference_count_matrix(bags, ptr, rows, idx):
+    """(words, counts) of one text block for examples ``idx``, summed with
+    ``np.add.at`` over each example's bag rows."""
+    lists = [r for i in idx for r in rows[ptr[i] : ptr[i + 1]]]
+    owners = [e for e, i in enumerate(idx) for _ in range(ptr[i], ptr[i + 1])]
+    slots = [s for r in lists for s in range(bags.ptr[r], bags.ptr[r + 1])]
+    slot_owners = [o for r, o in zip(lists, owners) for _ in range(bags.ptr[r], bags.ptr[r + 1])]
+    words, cols = np.unique(bags.positions[np.array(slots, np.intp)], return_inverse=True)
+    counts = np.zeros((len(idx), len(words)))
+    np.add.at(counts, (np.array(slot_owners, np.intp), cols), bags.counts[np.array(slots, np.intp)])
+    return words, counts
+
+
+class TestExemplarRowsTraining:
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_rows_train_as_the_exemplar_stream_and_the_reference(self, mode):
+        records, features, vocab = oov_setup()
+        tokens = {q.text: tokenize(q.text) for r in records for q in r.all_questions}
+        losses = {"rows": [], "objects": []}
+        from_rows = train(exemplar_rows(records, mode), features, vocab, OOV_CONFIG,
+                          lambda e, loss: losses["rows"].append(loss), tokens)
+        exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
+        from_objects = train(iter(exemplars), features, vocab, OOV_CONFIG,
+                             lambda e, loss: losses["objects"].append(loss))
+        reference = reference_train(exemplars, features, vocab, OOV_CONFIG)
+        assert from_rows.answer_vocab == reference.answer_vocab == ("yes", "black")
+        for name, param in reference.parameters().items():
+            assert np.array_equal(from_rows.parameters()[name], param), name
+            assert np.array_equal(from_objects.parameters()[name], param), name
+        assert losses["rows"] == losses["objects"] and len(losses["rows"]) == 2
+
+    def test_train_logs_generated_kept_and_dropped(self, caplog):
+        records, features, vocab = oov_setup()
+        with caplog.at_level(logging.INFO, logger="qsup.model"):
+            train(exemplar_rows(records, AugmentMode.POWERSET), features, vocab, OOV_CONFIG)
+        # image 3 has two questions, images 1 and 2 three: 4 dropped, 8 + 8 + 8 kept
+        assert caplog.messages == [
+            "exemplars: 28 generated, 24 kept, 4 dropped with out-of-vocabulary answers"]
+
+    @pytest.mark.parametrize("mode", [AugmentMode.PLAIN, AugmentMode.POWERSET])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5, 64])
+    @pytest.mark.parametrize("window_slots", [1, 100, 1 << 14])
+    def test_windowed_batches_equal_the_reference_count_matrices(
+            self, mode, batch_size, window_slots, monkeypatch):
+        records, features, vocab = oov_setup()
+        examples, labels, _ = model_module._index_rows(
+            exemplar_rows(records, mode), features, vocab, 2, None)
+        monkeypatch.setattr(model_module, "_WINDOW_SLOTS", window_slots)
+        order = np.random.default_rng(3).permutation(len(labels))
+        batches = list(model_module._batches(examples, order, batch_size))
+        starts = range(0, len(order), batch_size)
+        assert len(batches) == len(starts)
+        for (idx, (images, texts)), lo in zip(batches, starts):
+            assert np.array_equal(idx, order[lo : lo + batch_size])
+            assert np.array_equal(images, examples.images[examples.image_rows[idx]])
+            want_texts = [reference_count_matrix(examples.bags, ptr, rows, idx)
+                          for ptr, rows in examples.texts]
+            for (words, counts), (want_words, want_counts) in zip(texts, want_texts):
+                assert words.dtype == want_words.dtype and np.array_equal(words, want_words)
+                assert counts.shape == want_counts.shape
+                assert np.array_equal(counts, want_counts)
