@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import augment, dataio, evalstats, qparse, vocab as vocabmod
@@ -72,6 +73,18 @@ def _load_tables(args):
     return obj_vocab, types
 
 
+def _image_features(path: str | Path, refs: Iterable[tuple[int, int]]) -> dict:
+    """The feature vector of each (image id, feature ref) pair, by image id;
+    the file's other rows are not kept."""
+    table = dataio.load_features(path)
+    features = {}
+    for image_id, ref in refs:
+        if ref not in table:
+            raise DanglingReference(f"image {image_id}: no features under ref {ref}")
+        features[image_id] = table[ref]
+    return features
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -113,13 +126,7 @@ def _cmd_train(args) -> int:
     cfg = dataio.load_run_config(args.config)
     manifest = dataio.load_dataset(cfg.dataset)
     records = dataio.build_image_records(manifest)
-    feature_file = dataio.load_features(cfg.features)
-    features = {}
-    for record in records:
-        ref = record.feature_ref
-        if ref not in feature_file:
-            raise DanglingReference(f"image {record.image_id}: no features under ref {ref}")
-        features[record.image_id] = feature_file[ref]
+    features = _image_features(cfg.features, ((r.image_id, r.feature_ref) for r in records))
 
     # each distinct text tokenized once; interned, texts share each token's string
     tokens = {
@@ -148,20 +155,16 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = dataio.load_model(args.model)
     text_vocab = vocabmod.load_vocabulary(args.vocab)
-    features = dataio.load_features(args.features)
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
-    feature_refs = {e.image_id: e.feature_ref for e in manifest.images}
-
-    def examples():
-        for q in manifest.questions:
-            ref = feature_refs[q.image_id]
-            if ref not in features:
-                raise DanglingReference(f"image {q.image_id}: no features under ref {ref}")
-            extras = [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None
-            yield features[ref], q, extras
-
-    answers = predict_batch(model, text_vocab, examples())
+    refs = ((e.image_id, e.feature_ref) for e in manifest.images if grouped[e.image_id])
+    features = _image_features(args.features, refs)
+    examples = (
+        (features[q.image_id], q,
+         [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None)
+        for q in manifest.questions
+    )
+    answers = predict_batch(model, text_vocab, examples)
     write_lines(args.out, (
         json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": answer})
         for q, (answer, _) in zip(manifest.questions, answers)

@@ -5,22 +5,26 @@ ingested image features, an embedded bag-of-words of the target question,
 and an embedded bag-of-words of the extra questions concatenated together.
 A learned affine layer plus softmax predicts the answer class.
 
-``train`` and ``predict_batch`` tokenize each distinct question text once
-into one bag-of-words row (CSR arrays of positions, counts and row offsets)
-and describe each example by indices: an image row, the target question's
-row and the extra questions' rows.  The extra block's bag is the sum of its
-rows, since joining texts with a space never merges tokens.  ``train`` reads
-these indices straight from ``augment.ExemplarRows``, so no object is made
-per exemplar; Exemplar objects are first turned into such rows.  A batch's
-count matrix gathers its examples' rows over just the words the batch uses,
-and one batched forward pass over it serves training, the full-data loss and
-predict (64 examples at a time).  Training assembles the count matrices of a
-window of consecutive minibatches from one sort of (batch, word) keys.  It is
-plain mini-batch SGD with analytic gradients, including the Jacobian of the
-L2 normalization applied to the two text blocks; each step updates only the
-embedding rows of words in the batch, the only rows with a gradient.  The
-one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``) builds its
-batches the same way.
+``train`` and ``predict_batch`` reach the model by one road: both describe
+their examples as ``augment.ExemplarRows`` (an image, a target question and
+extra questions per example), and one indexer turns the rows into examples.
+It tokenizes each distinct question text once into one bag-of-words row (CSR
+arrays of positions, counts and row offsets) and describes each example by
+indices: an image row, the target question's bag row and the extra
+questions' bag rows.  The extra block's bag is the sum of its rows, since
+joining texts with a space never merges tokens.  ``train`` takes the output
+of ``augment.exemplar_rows`` as it is, so no object is made per exemplar;
+Exemplar objects are first turned into such rows, as is each 64-example
+chunk of ``predict_batch``.  A batch's count matrix gathers its examples'
+rows over just the words the batch uses, and one batched forward pass over
+it serves training, the full-data loss and predict.  Training assembles the
+count matrices of a window of consecutive minibatches from one sort of
+(batch, word) keys.  It is plain mini-batch SGD with analytic gradients,
+including the Jacobian of the L2 normalization applied to the two text
+blocks; each step updates only the embedding rows of words in the batch, the
+only rows with a gradient.  The one-example API (``FeatureBlock``,
+``forward``, ``loss_and_grad``) gives block i of a batch of n bag row i as
+its target and bag row n + i as its extras.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,31 +215,6 @@ def _image_matrix(vectors: Sequence[np.ndarray], d_img: int) -> np.ndarray:
     return np.array(vectors, dtype=np.float64)
 
 
-def _index_examples(
-    images: np.ndarray,
-    items: Iterable[tuple[int, Hashable, Sequence[Hashable]]],
-    bag_of: Callable[[Hashable], BowVector],
-    vocab_size: int,
-) -> _Examples:
-    """Index (image row, target key, extra keys) items, where a key names a
-    bag (a question text, say); ``bag_of`` is called once per distinct key."""
-    rows: dict[Hashable, int] = {}
-    image_rows, target_rows, extra_rows, extra_ptr = [], [], [], [0]
-    for image_row, target, extras in items:
-        image_rows.append(image_row)
-        target_rows.append(rows.setdefault(target, len(rows)))
-        extra_rows.extend(rows.setdefault(key, len(rows)) for key in extras)
-        extra_ptr.append(len(extra_rows))
-    n = len(image_rows)
-    return _Examples(
-        images,
-        np.array(image_rows, np.intp),
-        _bag_rows([bag_of(key) for key in rows], vocab_size),
-        ((np.arange(n + 1), np.array(target_rows, np.intp)),
-         (np.array(extra_ptr, np.intp), np.array(extra_rows, np.intp))),
-    )
-
-
 def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of the elements of CSR segments ``idx``, and for each
     element its segment's place in ``idx``."""
@@ -305,10 +284,8 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
-    one = np.arange(1)
     bags = _bag_rows([counts], embedding.shape[0])
-    words, matrix = next(_count_matrices(bags, np.arange(2), one, one, 1))
-    return (matrix @ embedding[words])[0]
+    return bags.counts @ embedding[bags.positions]
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -351,10 +328,11 @@ def _forward(model: LinearModel, batch):
 def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
     """A batch of feature blocks, each indexed as its own two bags."""
     n = len(blocks)
-    bags = [b.target_bow for b in blocks] + [b.extra_bow for b in blocks]
+    bags = _bag_rows([b.target_bow for b in blocks] + [b.extra_bow for b in blocks],
+                     model.vocab_size)
     images = _image_matrix([b.image for b in blocks], model.dims.d_img)
-    items = ((i, i, [n + i]) for i in range(n))
-    return _batch(_index_examples(images, items, bags.__getitem__, model.vocab_size), np.arange(n))
+    rows, ptr = np.arange(n), np.arange(n + 1)
+    return _batch(_Examples(images, rows, bags, ((ptr, rows), (ptr, rows + n))), rows)
 
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
@@ -429,8 +407,9 @@ def _top_answers(counts: Mapping[str, int], size: int) -> tuple[str, ...]:
     return tuple(ranked[:size])
 
 
-def _rows_of(exemplars: Iterable[Exemplar]) -> ExemplarRows:
-    """Exemplar objects as ExemplarRows over their distinct question objects."""
+def _rows_of(items: Iterable[tuple[int, Question, Sequence[Question]]]) -> ExemplarRows:
+    """(image key, target, extras) items as ExemplarRows over their distinct
+    question objects."""
     questions: list[Question] = []
     index: dict[int, int] = {}  # id() of an object in questions -> its place
 
@@ -440,17 +419,31 @@ def _rows_of(exemplars: Iterable[Exemplar]) -> ExemplarRows:
             questions.append(question)
         return index[id(question)]
 
-    image_ids, targets, extras, extra_ptr = [], [], [], [0]
-    for e in exemplars:
-        target = e.target_question
-        if target.answer != e.answer:
-            target = dataclasses.replace(target, answer=e.answer)
-        image_ids.append(e.image_id)
+    image_keys, targets, extras, extra_ptr = [], [], [], [0]
+    for image_key, target, extra in items:
+        image_keys.append(image_key)
         targets.append(place(target))
-        extras.extend(map(place, e.extra))
+        extras.extend(map(place, extra))
         extra_ptr.append(len(extras))
     return ExemplarRows(tuple(questions), *(np.array(part, np.intp)
-                                            for part in (image_ids, targets, extra_ptr, extras)))
+                                            for part in (image_keys, targets, extra_ptr, extras)))
+
+
+def _index(rows: ExemplarRows, images: np.ndarray, bag_of: Callable[[str], BowVector],
+           vocab_size: int) -> _Examples:
+    """The examples of ``rows``, whose image ids are rows of ``images``, with
+    one bag row (``bag_of`` its text) per distinct text of the questions the
+    rows use."""
+    used = np.zeros(len(rows.questions), bool)
+    used[rows.targets] = used[rows.extras] = True
+    text_rows: dict[str, int] = {}
+    question_rows = np.zeros(len(rows.questions), np.intp)
+    question_rows[used] = [text_rows.setdefault(rows.questions[i].text, len(text_rows))
+                           for i in np.flatnonzero(used).tolist()]
+    bags = _bag_rows([bag_of(text) for text in text_rows], vocab_size)
+    texts = ((np.arange(len(rows.targets) + 1), question_rows[rows.targets]),
+             (rows.extra_ptr, question_rows[rows.extras]))
+    return _Examples(images, rows.image_ids, bags, texts)
 
 
 def _index_rows(
@@ -492,18 +485,11 @@ def _index_rows(
     sizes = np.diff(rows.extra_ptr)
     extra_ptr = np.zeros(n + 1, np.intp)
     np.cumsum(sizes[keep], out=extra_ptr[1:])
-    targets, extras = rows.targets[keep], rows.extras[np.repeat(keep, sizes)]
-    # one bag row per distinct text of the questions the kept rows use
-    used = np.zeros(len(rows.questions), bool)
-    used[targets] = used[extras] = True
-    text_rows: dict[str, int] = {}
-    question_rows = np.zeros(len(rows.questions), np.intp)
-    question_rows[used] = [text_rows.setdefault(rows.questions[i].text, len(text_rows))
-                           for i in np.flatnonzero(used).tolist()]
-    bags = _bag_rows([bow_featurize(text, vocab, None if tokens is None else tokens[text])
-                      for text in text_rows], len(vocab))
-    texts = ((np.arange(n + 1), question_rows[targets]), (extra_ptr, question_rows[extras]))
-    return _Examples(images, image_rows, bags, texts), labels[keep], answer_vocab
+    kept = ExemplarRows(rows.questions, image_rows, rows.targets[keep], extra_ptr,
+                        rows.extras[np.repeat(keep, sizes)])
+    examples = _index(kept, images, lambda text: bow_featurize(
+        text, vocab, None if tokens is None else tokens[text]), len(vocab))
+    return examples, labels[keep], answer_vocab
 
 
 def train(
@@ -523,9 +509,13 @@ def train(
     text.  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
     epoch when provided, computed ``batch_size`` examples at a time.
     """
-    rows = exemplars if isinstance(exemplars, ExemplarRows) else _rows_of(exemplars)
+    if not isinstance(exemplars, ExemplarRows):  # each target takes its exemplar's answer
+        exemplars = _rows_of(
+            (e.image_id, e.target_question if e.target_question.answer == e.answer
+             else dataclasses.replace(e.target_question, answer=e.answer), e.extra)
+            for e in exemplars)
     examples, labels, answer_vocab = _index_rows(
-        rows, features, vocab, config.answer_vocab_size, tokens)
+        exemplars, features, vocab, config.answer_vocab_size, tokens)
 
     d = config.embed_dim
     n_answers = len(answer_vocab)
@@ -593,9 +583,8 @@ def predict_batch(
     examples = iter(examples)
     while chunk := list(itertools.islice(examples, _PREDICT_CHUNK)):
         images = l2_normalize(_image_matrix([ex[0] for ex in chunk], model.dims.d_img))
-        items = ((i, q.text, [x.text for x in extras or ()])
-                 for i, (_, q, extras) in enumerate(chunk))
-        indexed = _index_examples(images, items, bag_of, model.vocab_size)
+        rows = _rows_of((i, q, extras or ()) for i, (_, q, extras) in enumerate(chunk))
+        indexed = _index(rows, images, bag_of, model.vocab_size)
         for probs in np.exp(_forward(model, _batch(indexed, np.arange(len(chunk))))[0]):
             yield model.answer_vocab[int(np.argmax(probs))], probs  # ties: lowest index
 
@@ -617,12 +606,5 @@ def predict_multiple_choice(
         raise ValueError("choices must be non-empty")
     _, probs = predict(model, vocab, image_feat, target_q, extra_qs)
     index = {a: i for i, a in enumerate(model.answer_vocab)}
-    best_choice = choices[0]
-    best_score = -np.inf
-    for choice in choices:
-        pos = index.get(choice)
-        score = probs[pos] if pos is not None else -np.inf
-        if score > best_score:
-            best_choice = choice
-            best_score = score
-    return best_choice
+    # max keeps the first of equal keys
+    return max(choices, key=lambda c: probs[index[c]] if c in index else -np.inf)

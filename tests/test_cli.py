@@ -163,6 +163,16 @@ class TestTrainPredictEval:
         assert len(texts) < sum(texts.values())  # texts repeat across questions
         assert calls == Counter(dict.fromkeys(texts, 1))
 
+    def test_unused_feature_rows_leave_the_model_unchanged(self, pair_setup):
+        assert main(["train", "--config", str(pair_setup / "run.json")]) == 0
+        table = dataio.load_features(pair_setup / "feats.qvft")
+        rng = np.random.default_rng(6)
+        table.update({1000 + k: rng.normal(size=4) for k in range(40)})
+        save_features(table, pair_setup / "wide.qvft")
+        assert main(_run_config_with(pair_setup, features="wide.qvft", out_dir="wide")) == 0
+        model = (pair_setup / "out" / "model.qsmd").read_bytes()
+        assert (pair_setup / "wide" / "model.qsmd").read_bytes() == model
+
     def test_eval_rerun_is_reproducible(self, pair_setup, capsys):
         base = pair_setup
         main(["train", "--config", str(base / "run.json")])
@@ -368,6 +378,22 @@ def _predict_with_cut_file(flag, cut):
     return build
 
 
+def _features_without(base, image_id):
+    """pair_setup's feature file without the row of ``image_id``; its name."""
+    table = dataio.load_features(base / "feats.qvft")
+    del table[image_id]
+    save_features(table, base / "partial.qvft")
+    return "partial.qvft"
+
+
+def _predict_without_features_of(image_id):
+    def build(base):
+        argv = _predict_with([b"yes", b"no"])(base)
+        argv[argv.index("--features") + 1] = str(base / _features_without(base, image_id))
+        return argv
+    return build
+
+
 def _extract_with(flag, raw):
     return lambda b: ["extract", "--questions", str(b / "data.json"),
                       flag, _bytes_file(b, "table.txt", raw), "--out", str(b / "l.jsonl")]
@@ -459,6 +485,10 @@ CONTRACT_CASES = {
         _predict_with_cut_file("--features", lambda raw: raw[:1000]), 2),
     "predict_features_wrong_magic": (
         _predict_with_cut_file("--features", lambda raw: b"XXXX" + raw[4:]), 2),
+    "train_image_without_features": (
+        lambda b: _run_config_with(b, features=_features_without(b, 59)), 2),
+    "predict_image_without_features": (_predict_without_features_of(59), 2),
+    "predict_vocab_size_mismatch": (_predict_with([b"yes", b"no"], b"what\ncolor\n"), 2),
 }
 
 
@@ -469,6 +499,15 @@ def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
     argv = CONTRACT_CASES[case][0](pair_setup)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"qsup: error: {argv[argv.index(flag) + 1]}: ")
+
+
+@pytest.mark.parametrize("case", ["train_image_without_features",
+                                  "predict_image_without_features"])
+def test_missing_features_name_the_image_before_any_output(case, pair_setup, capsys):
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    assert capsys.readouterr().err == "qsup: error: image 59: no features under ref 59\n"
+    assert not (pair_setup / "p.jsonl").exists()
+    assert not (pair_setup / "out").exists()
 
 
 def test_predict_reads_the_well_formed_contract_model(pair_setup):

@@ -323,6 +323,17 @@ class TestPredictMultipleChoice:
             self.model, self.vocab, self.image, self.question, None, choices
         ) == expected
 
+    def test_tie_takes_the_earliest_choice(self):
+        model = random_model(np.random.default_rng(42), v=2, answers=("cat", "dog", "bird"))
+        model.fc_weights[1] = model.fc_weights[0]
+        model.fc_bias[1] = model.fc_bias[0]
+        _, probs = predict(model, self.vocab, self.image, self.question)
+        assert probs[0] == probs[1]
+        for choices in (["cat", "dog"], ["dog", "cat"], ["zebra", "dog", "cat"]):
+            assert predict_multiple_choice(
+                model, self.vocab, self.image, self.question, None, choices
+            ) == choices[-2]
+
     def test_empty_choices_rejected(self):
         with pytest.raises(ValueError):
             predict_multiple_choice(
@@ -426,6 +437,28 @@ class TestSparseBatchedPath:
             one_answer, one_probs = predict(model, vocab, *example)
             assert answer == one_answer
             np.testing.assert_allclose(probs, one_probs, rtol=0, atol=1e-12)
+
+    def test_predict_batch_equals_forward_on_feature_blocks(self):
+        rng = np.random.default_rng(61)
+        words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
+        vocab = Vocabulary(words)
+        model = random_model(rng, v=len(words), answers=("a", "b", "c", "d", "e"))
+        # objects shared across examples; s0 and s2 are one text under two objects
+        shared = [Question("s0", 0, "what is the red cat"), Question("s1", 0, "is the dog left"),
+                  Question("s2", 0, "what is the red cat")]
+        examples = []
+        for i in range(150):  # three 64-example chunks
+            text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
+            target = shared[i % 3] if i % 4 == 0 else Question(f"q{i}", i, text)
+            own = Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))
+            extras = (None, [], [shared[0], shared[2]], [shared[1], own], [own])[i % 5]
+            examples.append((rng.normal(size=4), target, extras))
+        batched = list(predict_batch(model, vocab, examples))
+        assert len(batched) == len(examples)
+        for (image, target, extras), (answer, probs) in zip(examples, batched):
+            want = forward(model, make_feature_block(vocab, image, target, extras))
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+            assert answer == model.answer_vocab[int(np.argmax(want))]
 
     def test_unused_word_keeps_initial_embedding(self):
         records, features, vocab, exemplars = separable_setup(60)
