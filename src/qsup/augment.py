@@ -67,12 +67,16 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class Exemplar:
-    """One training instance: target question, extra-question set, answer."""
+    """One training instance: target question and extra-question set; its
+    answer is the target's."""
 
     image_id: int
     target_question: Question
     extra: tuple[Question, ...]
-    answer: str
+
+    @property
+    def answer(self) -> str:
+        return self.target_question.answer
 
 
 class AugmentMode(enum.Enum):
@@ -149,10 +153,8 @@ def generate_exemplars(
             targets, extra_ptr, extras = (part.tolist() for part in rows)
             for row, target in enumerate(targets):
                 chosen = extras[extra_ptr[row] : extra_ptr[row + 1]]
-                answer = q_all[target].answer
-                assert answer is not None
                 yield Exemplar(record.image_id, q_all[target],
-                               tuple(map(q_all.__getitem__, chosen)), answer)
+                               tuple(map(q_all.__getitem__, chosen)))
 
     return _generate()
 

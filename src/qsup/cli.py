@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import augment, dataio, evalstats, qparse, vocab as vocabmod
-from .errors import DanglingReference, EmptyVector, QsupError
+from .errors import DanglingReference, DimMismatch, EmptyVector, QsupError
 from .model import predict_batch, train
 from .qparse import write_json, write_lines
 
@@ -59,18 +59,17 @@ def _args_snapshot(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+def _object_vocabulary(args) -> qparse.ObjectVocabulary:
+    if args.vocab:
+        return qparse.load_object_vocabulary(args.vocab)
+    return qparse.default_object_vocabulary()
+
+
 def _load_tables(args):
     types = (
-        qparse.load_question_types(args.types)
-        if getattr(args, "types", None)
-        else qparse.default_question_types()
+        qparse.load_question_types(args.types) if args.types else qparse.default_question_types()
     )
-    obj_vocab = (
-        qparse.load_object_vocabulary(args.vocab)
-        if getattr(args, "vocab", None)
-        else qparse.default_object_vocabulary()
-    )
-    return obj_vocab, types
+    return _object_vocabulary(args), types
 
 
 def _image_features(path: str | Path, refs: Iterable[tuple[int, int]]) -> dict:
@@ -120,9 +119,6 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if not args.config:
-        sys.stderr.write("qsup train: error: needs --config or $QSUP_CONFIG\n")
-        return 1
     cfg = dataio.load_run_config(args.config)
     manifest = dataio.load_dataset(cfg.dataset)
     records = dataio.build_image_records(manifest)
@@ -155,10 +151,17 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = dataio.load_model(args.model)
     text_vocab = vocabmod.load_vocabulary(args.vocab)
+    if len(text_vocab) != model.vocab_size:
+        raise DimMismatch(f"{args.vocab}: {len(text_vocab)} words, but {args.model} "
+                          f"has {model.vocab_size} embedding rows")
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
     refs = ((e.image_id, e.feature_ref) for e in manifest.images if grouped[e.image_id])
     features = _image_features(args.features, refs)
+    dims = {len(vec) for vec in features.values()} - {model.dims.d_img}
+    if dims:
+        raise DimMismatch(f"{args.features}: {dims.pop()}-dimensional features, but "
+                          f"{args.model} expects {model.dims.d_img}")
     examples = (
         (features[q.image_id], q,
          [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None)
@@ -211,8 +214,7 @@ def _cmd_eval(args) -> int:
             for t in report.by_type
         ]
     else:
-        obj_vocab, types = _load_tables(args)
-        classes = obj_vocab.class_names
+        classes = _object_vocabulary(args).class_names
         manifest = dataio.load_dataset(args.dataset)
         truth, predicted = [], []
         labels_by_image = {
@@ -273,7 +275,6 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_word_targets(args) -> int:
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
-    corpus = list(manifest.questions)
     mode = vocabmod.WordTargetMode(args.mode)
 
     obj_vocab = types = text_vocab = None
@@ -283,12 +284,9 @@ def _cmd_word_targets(args) -> int:
         text_vocab = (
             vocabmod.load_vocabulary(args.text_vocab)
             if args.text_vocab
-            else vocabmod.build_vocabulary(corpus, args.min_count)
+            else vocabmod.build_vocabulary(list(manifest.questions), args.min_count)
         )
-    words = vocabmod.word_target_words(mode, text_vocab, corpus, obj_vocab)
-    if mode is vocabmod.WordTargetMode.TFIDF_1024:  # full mode over the ranked words: one ranking
-        mode, text_vocab = vocabmod.WordTargetMode.FULL, vocabmod.Vocabulary(words)
-    targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
+    words, targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
     out_path = Path(args.out)
     write_lines(out_path, (
         json.dumps({"image_id": target.image_id, "indices": target.indices()})
@@ -366,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", help="extracted labels JSONL (extraction task)")
     p.add_argument("--dataset", required=True, help="dataset manifest (JSON)")
     p.add_argument("--vocab", help="object vocabulary file (extraction task)")
-    p.add_argument("--types", help="question-type table (extraction task)")
     p.add_argument("--out-prefix", required=True, help="writes <prefix>.json and <prefix>.csv")
     p.set_defaults(func=_cmd_eval)
 
@@ -377,7 +374,7 @@ def build_parser() -> _Parser:
                    default=0.999)
     p.add_argument("--resamples", type=_checked(int, lambda n: n >= 1000, ">= 1000"),
                    default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), default=0)
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=_cmd_bootstrap)
 
@@ -394,7 +391,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="strip answers to simulate weak supervision")
     p.add_argument("--in", required=True, help="dataset manifest (JSON)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), required=True)
     p.add_argument("--keep", type=_checked(int, lambda n: n >= 0, ">= 0"),
                    help="answered questions kept per image")
     p.add_argument("--fraction", type=_checked(float, lambda f: 0.0 <= f <= 1.0, "in [0, 1]"),
@@ -413,6 +410,8 @@ def _flag_combination_error(args: argparse.Namespace) -> str | None:
             return "simulate: give exactly one of --keep / --fraction"
         if args.fraction is not None and args.out_rest is None:
             return "simulate: --fraction needs --out-rest"
+    if args.command == "train" and not args.config:
+        return "train: needs --config or $QSUP_CONFIG"
     if args.command == "eval":
         needed = {"vqa": "pred", "extraction": "labels"}[args.task]
         if getattr(args, needed) is None:
@@ -434,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError:
         return 1
-    except (QsupError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (QsupError, OSError) as exc:
         sys.stderr.write(f"qsup: error: {exc}\n")
         return 2
 

@@ -235,26 +235,30 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
     return _validate_manifest(images, questions)
 
 
+def _keyed_lines(path: str | Path, key: str, key_kind: tuple, value: str,
+                 value_kind: tuple) -> dict:
+    """``key`` -> ``value`` over the objects of a JSONL file, one per line;
+    a key on two lines is a ParseError."""
+    table = {}
+    for lineno, record in _read_json(path, lines=True):
+        context = f"{path}:{lineno}"
+        k = _field(record, key, key_kind, context)
+        if k in table:
+            raise ParseError(f"{context}: repeated {key} {k!r}")
+        table[k] = _field(record, value, value_kind, context)
+    return table
+
+
 def load_predictions(path: str | Path) -> dict[str | int, str]:
     """Question id -> answer from a predictions JSONL file, one
     {question_id, answer} object per line."""
-    predictions = {}
-    for lineno, record in _read_json(path, lines=True):
-        context = f"{path}:{lineno}"
-        qid = _field(record, "question_id", _ID, context)
-        predictions[qid] = _field(record, "answer", _STR, context)
-    return predictions
+    return _keyed_lines(path, "question_id", _ID, "answer", _STR)
 
 
 def load_labels(path: str | Path) -> dict[int, list[str]]:
     """Image id -> labels from an extracted-labels JSONL file, one
     {image_id, labels} object per line."""
-    labels = {}
-    for lineno, record in _read_json(path, lines=True):
-        context = f"{path}:{lineno}"
-        image_id = _field(record, "image_id", _INT, context)
-        labels[image_id] = _field(record, "labels", _STRINGS, context)
-    return labels
+    return _keyed_lines(path, "image_id", _INT, "labels", _STRINGS)
 
 
 def questions_by_image(manifest: DatasetManifest) -> dict[int, list[Question]]:
@@ -397,7 +401,6 @@ class RunConfig:
     features: Path
     out_dir: Path
     train: TrainConfig
-    seed: int
     augment_mode: str = "powerset"
     vocab: Path | None = None  # prebuilt text vocabulary; built from data if absent
     min_count: int = 1
@@ -439,7 +442,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         features=resolve("features"),
         out_dir=resolve("out_dir", required=False) or base / "out",
         train=train_cfg,
-        seed=seed,
         augment_mode=_field(payload, "augment_mode", _STR, path, "powerset"),
         vocab=resolve("vocab", required=False),
         min_count=_field(payload, "min_count", _POSITIVE, path, 1),

@@ -29,7 +29,6 @@ its target and bag row n + i as its extras.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import logging
@@ -252,16 +251,10 @@ def _count_matrices(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, window: np.n
         yield keys[key_bounds[b] : key_bounds[b + 1]] - b * span, counts.reshape(size, widths[b])
 
 
-def _batch(examples: _Examples, idx: np.ndarray):
-    """(image rows, (words, counts) per text block) for examples ``idx``."""
-    texts = [next(_count_matrices(examples.bags, ptr, rows, idx, len(idx)))
-             for ptr, rows in examples.texts]
-    return examples.images[examples.image_rows[idx]], texts
-
-
 def _batches(examples: _Examples, order: np.ndarray, batch_size: int):
-    """(idx, ``_batch(examples, idx)``) for each ``batch_size`` slice idx of
-    ``order``, assembled a window of batches at a time."""
+    """(idx, batch) for each ``batch_size`` slice idx of ``order``, assembled
+    a window of batches at a time; a batch is the examples' image rows and
+    (words, counts) of each text block."""
     sizes = np.diff(examples.bags.ptr)
     slots = sum(int(sizes[rows].sum()) for _, rows in examples.texts)
     per_slot = len(examples.image_rows) / max(slots, 1)
@@ -310,7 +303,7 @@ def make_feature_block(
 
 
 def _forward(model: LinearModel, batch):
-    """(log_probs, x, norms) for a batch from ``_batch``: x is the
+    """(log_probs, x, norms) for a batch from ``_batches``: x is the
     concatenated normalized input and norms holds the raw norms of each
     text block."""
     images, texts = batch
@@ -332,7 +325,8 @@ def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
                      model.vocab_size)
     images = _image_matrix([b.image for b in blocks], model.dims.d_img)
     rows, ptr = np.arange(n), np.arange(n + 1)
-    return _batch(_Examples(images, rows, bags, ((ptr, rows), (ptr, rows + n))), rows)
+    examples = _Examples(images, rows, bags, ((ptr, rows), (ptr, rows + n)))
+    return next(_batches(examples, rows, n))[1]
 
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
@@ -479,9 +473,7 @@ def _index_rows(
         if image_id not in features:
             raise DanglingReference(f"no features for image {image_id}")
     vectors = [features[image_id] for image_id in image_ids.tolist()]
-    # normalized twice, as by make_feature_block on a normalized vector, so
-    # that results stay bit for bit those of per-example blocks
-    images = l2_normalize(l2_normalize(_image_matrix(vectors, np.shape(vectors[0])[0])))
+    images = l2_normalize(_image_matrix(vectors, np.shape(vectors[0])[0]))
     sizes = np.diff(rows.extra_ptr)
     extra_ptr = np.zeros(n + 1, np.intp)
     np.cumsum(sizes[keep], out=extra_ptr[1:])
@@ -509,11 +501,8 @@ def train(
     text.  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
     epoch when provided, computed ``batch_size`` examples at a time.
     """
-    if not isinstance(exemplars, ExemplarRows):  # each target takes its exemplar's answer
-        exemplars = _rows_of(
-            (e.image_id, e.target_question if e.target_question.answer == e.answer
-             else dataclasses.replace(e.target_question, answer=e.answer), e.extra)
-            for e in exemplars)
+    if not isinstance(exemplars, ExemplarRows):
+        exemplars = _rows_of((e.image_id, e.target_question, e.extra) for e in exemplars)
     examples, labels, answer_vocab = _index_rows(
         exemplars, features, vocab, config.answer_vocab_size, tokens)
 
@@ -585,7 +574,9 @@ def predict_batch(
         images = l2_normalize(_image_matrix([ex[0] for ex in chunk], model.dims.d_img))
         rows = _rows_of((i, q, extras or ()) for i, (_, q, extras) in enumerate(chunk))
         indexed = _index(rows, images, bag_of, model.vocab_size)
-        for probs in np.exp(_forward(model, _batch(indexed, np.arange(len(chunk))))[0]):
+        order = np.arange(len(chunk))
+        # no name holds the batch, so it is freed before the answers are yielded
+        for probs in np.exp(_forward(model, next(_batches(indexed, order, len(chunk)))[1])[0]):
             yield model.answer_vocab[int(np.argmax(probs))], probs  # ties: lowest index
 
 

@@ -180,52 +180,35 @@ def _coerce_mode(mode: WordTargetMode | str) -> WordTargetMode:
         raise UnknownMode(f"unknown word-target mode {mode!r}") from None
 
 
-def word_target_words(
-    mode: WordTargetMode | str,
-    vocab: Vocabulary | None,
-    corpus: Sequence[Question] | None = None,
-    object_vocab: ObjectVocabulary | None = None,
-) -> tuple[str, ...]:
-    """The label-space word list a given mode produces targets over."""
-    mode = _coerce_mode(mode)
-    if mode is WordTargetMode.FULL:
-        if vocab is None:
-            raise ValueError("full mode needs a vocabulary")
-        return vocab.words
-    if mode is WordTargetMode.TFIDF_1024:
-        if vocab is None or corpus is None:
-            raise ValueError("tfidf1024 mode needs a vocabulary and a corpus")
-        return tuple(tfidf_rank(corpus, vocab, min(1024, len(vocab))))
-    if object_vocab is None:
-        raise ValueError("classes80 mode needs an object vocabulary")
-    return object_vocab.class_names
-
-
 def word_targets(
     questions_by_image: Mapping[int, Sequence[Question]],
     mode: WordTargetMode | str,
     vocab: Vocabulary | None = None,
     object_vocab: ObjectVocabulary | None = None,
     type_table: QuestionTypeTable | None = None,
-) -> list[WordTarget]:
-    """Multi-label word targets per image for visual-model finetuning.
+) -> tuple[tuple[str, ...], list[WordTarget]]:
+    """(words, targets): multi-label word targets per image for visual-model
+    finetuning, and the label-space words they index.
 
     full: presence of each vocabulary word in the image's questions.
     tfidf1024: the same, restricted to the top tf-idf words (at most 1024).
     classes80: the extracted object-class vector.
     """
     mode = _coerce_mode(mode)
-    corpus = [q for qs in questions_by_image.values() for q in qs]
-
     if mode is WordTargetMode.CLASSES_80:
         if object_vocab is None or type_table is None:
             raise ValueError("classes80 mode needs an object vocabulary and type table")
-        return [
+        return object_vocab.class_names, [
             WordTarget(image_id, extract_objects_multi(list(qs), object_vocab, type_table).as_vector)
             for image_id, qs in questions_by_image.items()
         ]
 
-    words = word_target_words(mode, vocab, corpus, object_vocab)
+    if vocab is None:
+        raise ValueError(f"{mode.value} mode needs a vocabulary")
+    words = vocab.words
+    if mode is WordTargetMode.TFIDF_1024:
+        corpus = [q for qs in questions_by_image.values() for q in qs]
+        words = tuple(tfidf_rank(corpus, vocab, min(1024, len(vocab))))
     index = {w: i for i, w in enumerate(words)}
     out = []
     for image_id, qs in questions_by_image.items():
@@ -236,7 +219,7 @@ def word_targets(
                 if pos is not None:
                     labels[pos] = 1
         out.append(WordTarget(image_id, labels))
-    return out
+    return words, out
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

@@ -234,7 +234,7 @@ class TestWordTargets:
                      "--mode", "tfidf1024", "--out", str(out)]) == 0
         assert len(calls) == 1
         manifest = dataio.load_dataset(tmp_path / "data.json")
-        expected = vocab.word_targets(dataio.questions_by_image(manifest), "tfidf1024",
+        _, expected = vocab.word_targets(dataio.questions_by_image(manifest), "tfidf1024",
                                       vocab.build_vocabulary(list(manifest.questions)))
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert rows == [{"image_id": t.image_id, "indices": t.indices()} for t in expected]
@@ -394,6 +394,20 @@ def _predict_without_features_of(image_id):
     return build
 
 
+def _predict_with_wide_features(base):
+    """predict with pair_setup's features widened by one dimension."""
+    table = dataio.load_features(base / "feats.qvft")
+    argv = _predict_with([b"yes", b"no"])(base)
+    save_features({i: np.append(vec, 0.0) for i, vec in table.items()}, base / "wide.qvft")
+    argv[argv.index("--features") + 1] = str(base / "wide.qvft")
+    return argv
+
+
+def _repeated_jsonl(base, record):
+    (base / "odd.jsonl").write_text(2 * (json.dumps(record) + "\n"))
+    return str(base / "odd.jsonl")
+
+
 def _extract_with(flag, raw):
     return lambda b: ["extract", "--questions", str(b / "data.json"),
                       flag, _bytes_file(b, "table.txt", raw), "--out", str(b / "l.jsonl")]
@@ -489,6 +503,29 @@ CONTRACT_CASES = {
         lambda b: _run_config_with(b, features=_features_without(b, 59)), 2),
     "predict_image_without_features": (_predict_without_features_of(59), 2),
     "predict_vocab_size_mismatch": (_predict_with([b"yes", b"no"], b"what\ncolor\n"), 2),
+    "predict_feature_dim_mismatch": (_predict_with_wide_features, 2),
+    "bootstrap_negative_seed": (
+        lambda b: ["bootstrap", "--pred", str(b / "p.jsonl"), "--dataset", str(b / "data.json"),
+                   "--seed", "-1"], 1),
+    "simulate_negative_seed": (
+        lambda b: ["simulate", "--in", str(b / "data.json"), "--seed", "-3", "--keep", "1",
+                   "--out", str(b / "s.json")], 1),
+    "train_without_config": (lambda b: ["train"], 1),
+    "extract_out_under_a_file": (
+        lambda b: ["extract", "--questions", str(b / "data.json"),
+                   "--out", str(b / "data.json" / "x.jsonl")], 2),
+    "eval_out_prefix_under_a_file": (
+        lambda b: ["eval", "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
+                   "--dataset", str(b / "data.json"), "--out-prefix", str(b / "data.json" / "r")],
+        2),
+    "eval_vqa_repeated_question_id": (
+        lambda b: ["eval", "--pred", _repeated_jsonl(b, {"question_id": "q1", "answer": "red"}),
+                   "--dataset", str(_manifest_with(b)), "--out-prefix", str(b / "r")], 2),
+    "eval_extraction_repeated_image_id": (
+        lambda b: ["eval", "--task", "extraction",
+                   "--labels", _repeated_jsonl(b, {"image_id": 1, "labels": ["bus"]}),
+                   "--dataset", str(_manifest_with(b, image={"gt_labels": ["bus"]})),
+                   "--out-prefix", str(b / "pr")], 2),
 }
 
 
@@ -508,6 +545,25 @@ def test_missing_features_name_the_image_before_any_output(case, pair_setup, cap
     assert capsys.readouterr().err == "qsup: error: image 59: no features under ref 59\n"
     assert not (pair_setup / "p.jsonl").exists()
     assert not (pair_setup / "out").exists()
+
+
+@pytest.mark.parametrize("case, flag", [("predict_vocab_size_mismatch", "--vocab"),
+                                        ("predict_feature_dim_mismatch", "--features")])
+def test_predict_mismatches_name_both_files_before_any_output(case, flag, pair_setup, capsys):
+    argv = CONTRACT_CASES[case][0](pair_setup)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qsup: error: {argv[argv.index(flag) + 1]}: ")
+    assert argv[argv.index("--model") + 1] in err
+    assert not (pair_setup / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("case, repeated", [("eval_vqa_repeated_question_id", "question_id 'q1'"),
+                                            ("eval_extraction_repeated_image_id", "image_id 1")])
+def test_repeated_jsonl_keys_name_the_line(case, repeated, pair_setup, capsys):
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    err = capsys.readouterr().err
+    assert err == f"qsup: error: {pair_setup / 'odd.jsonl'}:2: repeated {repeated}\n"
 
 
 def test_predict_reads_the_well_formed_contract_model(pair_setup):

@@ -291,7 +291,6 @@ class TestRunConfig:
                       "answer_vocab_size": 5, "embed_dim": 8},
         }))
         cfg = load_run_config(cfg_path)
-        assert cfg.seed == 7
         assert cfg.train.seed == 7  # inherited from the run seed
         assert cfg.train.learning_rate == 0.2
         assert cfg.augment_mode == "powerset"

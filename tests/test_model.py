@@ -545,7 +545,7 @@ def reference_train(exemplars, features, vocab, cfg):
     answer_vocab = build_answer_vocab((e.answer for e in exemplars), cfg.answer_vocab_size)
     index = {a: i for i, a in enumerate(answer_vocab)}
     batch = [
-        (make_feature_block(vocab, l2_normalize(features[e.image_id]), e.target_question,
+        (make_feature_block(vocab, features[e.image_id], e.target_question,
                             e.extra), index[e.answer])
         for e in exemplars if e.answer in index
     ]

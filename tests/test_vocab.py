@@ -148,14 +148,15 @@ class TestWordTargets:
     def test_full_mode_presence(self):
         vocab = Vocabulary(["cat", "red", "dog"])
         grouped = {7: [Question("q", 7, "is the cat red")]}
-        (target,) = word_targets(grouped, WordTargetMode.FULL, vocab)
+        words, (target,) = word_targets(grouped, WordTargetMode.FULL, vocab)
+        assert words == ("cat", "red", "dog")
         assert target.image_id == 7
         np.testing.assert_array_equal(target.labels, [1, 1, 0])
         assert target.indices() == [0, 1]
 
     def test_zero_question_image(self):
         vocab = Vocabulary(["cat"])
-        (target,) = word_targets({3: []}, "full", vocab)
+        _, (target,) = word_targets({3: []}, "full", vocab)
         np.testing.assert_array_equal(target.labels, [0])
 
     def test_tfidf_mode_restricts(self):
@@ -163,7 +164,8 @@ class TestWordTargets:
         corpus = corpus_from(texts)
         vocab = build_vocabulary(corpus)
         grouped = {q.image_id: [q] for q in corpus}
-        targets = word_targets(grouped, WordTargetMode.TFIDF_1024, vocab)
+        words, targets = word_targets(grouped, WordTargetMode.TFIDF_1024, vocab)
+        assert words == tuple(tfidf_rank(corpus, vocab, len(vocab)))
         assert all(len(t.labels) == len(vocab) for t in targets)  # vocab < 1024 words
 
     def test_classes80_delegates_to_extraction(self, obj_vocab, type_table):
@@ -171,11 +173,12 @@ class TestWordTargets:
 
         questions = [Question("a", 5, "What color is the bus?")]
         grouped = {5: questions}
-        (target,) = word_targets(
+        words, (target,) = word_targets(
             grouped, WordTargetMode.CLASSES_80,
             object_vocab=obj_vocab, type_table=type_table,
         )
         expected = extract_objects_multi(questions, obj_vocab, type_table).as_vector
+        assert words == obj_vocab.class_names
         np.testing.assert_array_equal(target.labels, expected)
         assert target.labels[obj_vocab.class_index["bus"]] == 1
 
