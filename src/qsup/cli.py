@@ -268,7 +268,7 @@ def _cmd_bootstrap(args) -> int:
     print(json.dumps(payload))
     if args.out:
         write_json(args.out, payload)
-        _write_snapshot(Path(args.out).parent, "bootstrap", _args_snapshot(args))
+    _write_snapshot(Path(args.out or args.pred).parent, "bootstrap", _args_snapshot(args))
     return 0
 
 
@@ -284,7 +284,7 @@ def _cmd_word_targets(args) -> int:
         text_vocab = (
             vocabmod.load_vocabulary(args.text_vocab)
             if args.text_vocab
-            else vocabmod.build_vocabulary(list(manifest.questions), args.min_count)
+            else vocabmod.build_vocabulary(list(manifest.questions), args.min_count or 1)
         )
     words, targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
     out_path = Path(args.out)
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
                    choices=[m.value for m in vocabmod.WordTargetMode])
     p.add_argument("--out", required=True, help="output JSONL (a .words sidecar is added)")
     p.add_argument("--text-vocab", help="vocabulary file; built from the data if absent")
-    p.add_argument("--min-count", type=_checked(int, lambda n: n >= 1, ">= 1"), default=1)
+    p.add_argument("--min-count", type=_checked(int, lambda n: n >= 1, ">= 1"))
     p.add_argument("--vocab", help="object vocabulary file (classes80 mode)")
     p.add_argument("--types", help="question-type table (classes80 mode)")
     p.set_defaults(func=_cmd_word_targets)
@@ -412,10 +412,21 @@ def _flag_combination_error(args: argparse.Namespace) -> str | None:
             return "simulate: --fraction needs --out-rest"
     if args.command == "train" and not args.config:
         return "train: needs --config or $QSUP_CONFIG"
+    ignored = ()  # flags that the value of the mode flag --<mode> does not read
     if args.command == "eval":
         needed = {"vqa": "pred", "extraction": "labels"}[args.task]
         if getattr(args, needed) is None:
             return f"eval: --task {args.task} needs --{needed}"
+        mode, ignored = "task", {"vqa": ("labels", "vocab"), "extraction": ("pred",)}[args.task]
+    if args.command == "word-targets":
+        mode = "mode"
+        ignored = ("text_vocab", "min_count") if args.mode == "classes80" else ("vocab", "types")
+    if args.command == "simulate" and args.keep is not None:
+        mode, ignored = "keep", ("out_rest",)
+    for name in ignored:
+        if getattr(args, name) is not None:
+            return (f"{args.command}: --{name.replace('_', '-')} is not read with "
+                    f"--{mode} {getattr(args, mode)}")
     return None
 
 

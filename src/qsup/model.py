@@ -8,23 +8,23 @@ A learned affine layer plus softmax predicts the answer class.
 ``train`` and ``predict_batch`` reach the model by one road: both describe
 their examples as ``augment.ExemplarRows`` (an image, a target question and
 extra questions per example), and one indexer turns the rows into examples.
-It tokenizes each distinct question text once into one bag-of-words row (CSR
-arrays of positions, counts and row offsets) and describes each example by
-indices: an image row, the target question's bag row and the extra
-questions' bag rows.  The extra block's bag is the sum of its rows, since
-joining texts with a space never merges tokens.  ``train`` takes the output
-of ``augment.exemplar_rows`` as it is, so no object is made per exemplar;
-Exemplar objects are first turned into such rows, as is each 64-example
-chunk of ``predict_batch``.  A batch's count matrix gathers its examples'
-rows over just the words the batch uses, and one batched forward pass over
-it serves training, the full-data loss and predict.  Training assembles the
-count matrices of a window of consecutive minibatches from one sort of
-(batch, word) keys.  It is plain mini-batch SGD with analytic gradients,
-including the Jacobian of the L2 normalization applied to the two text
-blocks; each step updates only the embedding rows of words in the batch, the
-only rows with a gradient.  The one-example API (``FeatureBlock``,
-``forward``, ``loss_and_grad``) gives block i of a batch of n bag row i as
-its target and bag row n + i as its extras.
+It tokenizes each distinct question text once into word positions, sorts
+(row, position) keys once into one bag-of-words row per text (CSR arrays of
+positions, counts and row offsets) and describes each example by indices: an
+image row, the target question's bag row and the extra questions' bag rows.
+The extra block's bag is the sum of its rows, since joining texts with a
+space never merges tokens.  ``train`` takes the output of
+``augment.exemplar_rows`` as it is, so no object is made per exemplar;
+Exemplar objects are first turned into such rows, as is each 256-example
+window of ``predict_batch``.  A batch's count matrix gathers its examples'
+rows over just the words the batch uses; one batched forward pass over it
+(64 examples in predict) serves training, the full-data loss and predict,
+and one sort of (batch, word) keys gives a window of batches.  Training is
+plain mini-batch SGD with analytic gradients, including the Jacobian of the
+L2 normalization applied to the two text blocks; each step updates only the
+embedding rows of words in the batch, the only rows with a gradient.  The
+one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``) gives
+block i of a batch of n bag row i as its target and row n + i as extras.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     NoTrainableExemplars,
 )
 from .qparse import Question
-from .vocab import BowVector, Vocabulary, bow_featurize
+from .vocab import BowVector, Vocabulary, bow_featurize, token_positions
 
 __all__ = [
     "ModelDims",
@@ -70,7 +70,8 @@ logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 _PREDICT_CHUNK = 64  # examples per predict forward pass; bounds its memory
-_WINDOW_SLOTS = 1 << 14  # bag entries per window of training batches; bounds its index arrays
+_PREDICT_WINDOW = 4 * _PREDICT_CHUNK  # examples indexed at a time by predict
+_WINDOW_SLOTS = 1 << 14  # bag entries per window of batches; bounds its index arrays
 
 
 class ModelDims(NamedTuple):
@@ -195,16 +196,22 @@ class _Examples(NamedTuple):
     texts: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+def _bags(texts: Sequence[Sequence[int]]) -> _Bags:
+    """One bag row per text of word positions: its distinct positions, ascending,
+    and how often each occurs, from one sort of (row, position) keys."""
+    sizes = np.fromiter(map(len, texts), np.intp, len(texts))
+    flat = np.fromiter(itertools.chain.from_iterable(texts), np.intp, int(sizes.sum()))
+    span = int(flat.max()) + 1 if len(flat) else 1
+    keys, counts = np.unique(np.repeat(np.arange(len(texts)), sizes) * span + flat,
+                             return_counts=True)
+    ptr = np.searchsorted(keys, np.arange(len(texts) + 1) * span)
+    return _Bags(ptr, keys % span, counts)
+
+
 def _bag_rows(bags: Sequence[BowVector], vocab_size: int) -> _Bags:
-    for bag in bags:
-        if bag.vocab_size != vocab_size:
-            raise DimMismatch(f"bow over {bag.vocab_size} words vs {vocab_size} embedding rows")
-    ptr = np.zeros(len(bags) + 1, np.intp)
-    np.cumsum([len(bag.entries) for bag in bags], out=ptr[1:])
-    chain = itertools.chain.from_iterable
-    positions = np.fromiter(chain(bag.entries for bag in bags), np.intp, ptr[-1])
-    counts = np.fromiter(chain(bag.entries.values() for bag in bags), np.float64, ptr[-1])
-    return _Bags(ptr, positions, counts)
+    for size in {bag.vocab_size for bag in bags} - {vocab_size}:
+        raise DimMismatch(f"bow over {size} words vs {vocab_size} embedding rows")
+    return _bags([list(Counter(bag.entries).elements()) for bag in bags])
 
 
 def _image_matrix(vectors: Sequence[np.ndarray], d_img: int) -> np.ndarray:
@@ -404,14 +411,10 @@ def _top_answers(counts: Mapping[str, int], size: int) -> tuple[str, ...]:
 def _rows_of(items: Iterable[tuple[int, Question, Sequence[Question]]]) -> ExemplarRows:
     """(image key, target, extras) items as ExemplarRows over their distinct
     question objects."""
-    questions: list[Question] = []
-    index: dict[int, int] = {}  # id() of an object in questions -> its place
+    seen: dict[int, tuple[int, Question]] = {}  # id() of a question -> (its place, it)
 
     def place(question: Question) -> int:
-        if id(question) not in index:
-            index[id(question)] = len(questions)
-            questions.append(question)
-        return index[id(question)]
+        return seen.setdefault(id(question), (len(seen), question))[0]
 
     image_keys, targets, extras, extra_ptr = [], [], [], [0]
     for image_key, target, extra in items:
@@ -419,22 +422,22 @@ def _rows_of(items: Iterable[tuple[int, Question, Sequence[Question]]]) -> Exemp
         targets.append(place(target))
         extras.extend(map(place, extra))
         extra_ptr.append(len(extras))
-    return ExemplarRows(tuple(questions), *(np.array(part, np.intp)
-                                            for part in (image_keys, targets, extra_ptr, extras)))
+    return ExemplarRows(tuple(q for _, q in seen.values()), *(
+        np.array(part, np.intp) for part in (image_keys, targets, extra_ptr, extras)))
 
 
-def _index(rows: ExemplarRows, images: np.ndarray, bag_of: Callable[[str], BowVector],
-           vocab_size: int) -> _Examples:
+def _index(rows: ExemplarRows, images: np.ndarray,
+           positions_of: Callable[[str], Sequence[int]]) -> _Examples:
     """The examples of ``rows``, whose image ids are rows of ``images``, with
-    one bag row (``bag_of`` its text) per distinct text of the questions the
-    rows use."""
+    one bag row (of the word positions ``positions_of`` its text) per
+    distinct text of the questions the rows use."""
     used = np.zeros(len(rows.questions), bool)
     used[rows.targets] = used[rows.extras] = True
     text_rows: dict[str, int] = {}
     question_rows = np.zeros(len(rows.questions), np.intp)
     question_rows[used] = [text_rows.setdefault(rows.questions[i].text, len(text_rows))
                            for i in np.flatnonzero(used).tolist()]
-    bags = _bag_rows([bag_of(text) for text in text_rows], vocab_size)
+    bags = _bags([positions_of(text) for text in text_rows])
     texts = ((np.arange(len(rows.targets) + 1), question_rows[rows.targets]),
              (rows.extra_ptr, question_rows[rows.extras]))
     return _Examples(images, rows.image_ids, bags, texts)
@@ -479,8 +482,8 @@ def _index_rows(
     np.cumsum(sizes[keep], out=extra_ptr[1:])
     kept = ExemplarRows(rows.questions, image_rows, rows.targets[keep], extra_ptr,
                         rows.extras[np.repeat(keep, sizes)])
-    examples = _index(kept, images, lambda text: bow_featurize(
-        text, vocab, None if tokens is None else tokens[text]), len(vocab))
+    examples = _index(kept, images, lambda text: token_positions(
+        text, vocab, None if tokens is None else tokens[text]))
     return examples, labels[keep], answer_vocab
 
 
@@ -566,18 +569,20 @@ def predict_batch(
     examples: Iterable[tuple[np.ndarray, Question, Sequence[Question] | None]],
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Generate ``predict`` results for (image_feat, target_q, extra_qs)
-    examples in order, 64 per forward pass.  Each distinct question text is
-    tokenized once per call; its bag is kept for later chunks."""
-    bag_of = functools.cache(functools.partial(bow_featurize, vocab=vocab))
+    examples in order: 256 are indexed at a time and answered 64 per forward
+    pass.  Each distinct question text is tokenized once per call."""
+    if len(vocab) != model.vocab_size:
+        raise DimMismatch(f"vocabulary of {len(vocab)} words vs {model.vocab_size} embedding rows")
+    positions_of = functools.cache(functools.partial(token_positions, vocab=vocab))
     examples = iter(examples)
-    while chunk := list(itertools.islice(examples, _PREDICT_CHUNK)):
-        images = l2_normalize(_image_matrix([ex[0] for ex in chunk], model.dims.d_img))
-        rows = _rows_of((i, q, extras or ()) for i, (_, q, extras) in enumerate(chunk))
-        indexed = _index(rows, images, bag_of, model.vocab_size)
-        order = np.arange(len(chunk))
-        # no name holds the batch, so it is freed before the answers are yielded
-        for probs in np.exp(_forward(model, next(_batches(indexed, order, len(chunk)))[1])[0]):
-            yield model.answer_vocab[int(np.argmax(probs))], probs  # ties: lowest index
+    while window := list(itertools.islice(examples, _PREDICT_WINDOW)):
+        images = l2_normalize(_image_matrix([ex[0] for ex in window], model.dims.d_img))
+        rows = _rows_of((i, q, extras or ()) for i, (_, q, extras) in enumerate(window))
+        indexed = _index(rows, images, positions_of)
+        for _, batch in _batches(indexed, np.arange(len(window)), _PREDICT_CHUNK):
+            probs = np.exp(_forward(model, batch)[0])
+            labels = np.argmax(probs, axis=1).tolist()  # ties: lowest index
+            yield from zip([model.answer_vocab[k] for k in labels], probs)
 
 
 def predict_multiple_choice(

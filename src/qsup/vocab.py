@@ -28,6 +28,7 @@ __all__ = [
     "WordTargetMode",
     "build_vocabulary",
     "bow_featurize",
+    "token_positions",
     "tfidf_rank",
     "word_targets",
     "save_vocabulary",
@@ -109,15 +110,17 @@ def build_vocabulary(
     return Vocabulary(kept)
 
 
+def token_positions(text: str, vocab: Vocabulary, tokens: Sequence[str] | None = None) -> list[int]:
+    """Vocabulary positions of the in-vocabulary tokens of ``text``, or of its
+    ``tokens`` when the caller has them already, in token order."""
+    index = vocab.index
+    return [index[tok] for tok in (tokenize(text) if tokens is None else tokens) if tok in index]
+
+
 def bow_featurize(text: str, vocab: Vocabulary, tokens: Sequence[str] | None = None) -> BowVector:
     """Count in-vocabulary tokens of ``text``, or of its ``tokens`` when the
     caller has them already; out-of-vocabulary tokens are dropped."""
-    entries = Counter()
-    for tok in tokenize(text) if tokens is None else tokens:
-        pos = vocab.index.get(tok)
-        if pos is not None:
-            entries[pos] += 1
-    return BowVector(dict(entries), len(vocab))
+    return BowVector(Counter(token_positions(text, vocab, tokens)), len(vocab))
 
 
 def _documents_by_image(corpus: Sequence[Question]) -> list[str]:
@@ -205,21 +208,16 @@ def word_targets(
 
     if vocab is None:
         raise ValueError(f"{mode.value} mode needs a vocabulary")
-    words = vocab.words
     if mode is WordTargetMode.TFIDF_1024:
         corpus = [q for qs in questions_by_image.values() for q in qs]
-        words = tuple(tfidf_rank(corpus, vocab, min(1024, len(vocab))))
-    index = {w: i for i, w in enumerate(words)}
+        vocab = Vocabulary(tfidf_rank(corpus, vocab, min(1024, len(vocab))))
     out = []
     for image_id, qs in questions_by_image.items():
-        labels = np.zeros(len(words), dtype=np.int8)
+        labels = np.zeros(len(vocab), dtype=np.int8)
         for q in qs:
-            for tok in tokenize(q.text):
-                pos = index.get(tok)
-                if pos is not None:
-                    labels[pos] = 1
+            labels[token_positions(q.text, vocab)] = 1
         out.append(WordTarget(image_id, labels))
-    return words, out
+    return vocab.words, out
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

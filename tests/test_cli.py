@@ -434,6 +434,32 @@ CONTRACT_CASES = {
     "word_targets_zero_min_count": (
         lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
                    "--min-count", "0", "--out", str(b / "t.jsonl")], 1),
+    "word_targets_classes80_with_text_vocab": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "classes80",
+                   "--text-vocab", str(b / "absent" / "v.txt"), "--out", str(b / "t.jsonl")], 1),
+    "word_targets_classes80_with_min_count": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "classes80",
+                   "--min-count", "5", "--out", str(b / "t.jsonl")], 1),
+    "word_targets_full_with_object_vocab": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
+                   "--vocab", str(b / "absent" / "o.txt"), "--out", str(b / "t.jsonl")], 1),
+    "word_targets_tfidf1024_with_types": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "tfidf1024",
+                   "--types", str(b / "absent" / "t.txt"), "--out", str(b / "t.jsonl")], 1),
+    "eval_vqa_with_labels": (
+        lambda b: ["eval", "--pred", str(b / "p.jsonl"), "--labels", str(b / "absent"),
+                   "--dataset", str(b / "data.json"), "--out-prefix", str(b / "r")], 1),
+    "eval_vqa_with_object_vocab": (
+        lambda b: ["eval", "--task", "vqa", "--pred", str(b / "p.jsonl"),
+                   "--vocab", str(b / "absent"), "--dataset", str(b / "data.json"),
+                   "--out-prefix", str(b / "r")], 1),
+    "eval_extraction_with_pred": (
+        lambda b: ["eval", "--task", "extraction", "--labels", str(b / "l.jsonl"),
+                   "--pred", str(b / "absent"), "--dataset", str(b / "data.json"),
+                   "--out-prefix", str(b / "r")], 1),
+    "simulate_keep_with_out_rest": (
+        lambda b: ["simulate", "--in", str(b / "data.json"), "--seed", "1", "--keep", "1",
+                   "--out", str(b / "s.json"), "--out-rest", str(b / "absent" / "r.json")], 1),
     "eval_vqa_without_pred": (
         lambda b: ["eval", "--dataset", str(b / "data.json"), "--out-prefix", str(b / "r")], 1),
     "eval_extraction_without_labels": (
@@ -564,6 +590,37 @@ def test_repeated_jsonl_keys_name_the_line(case, repeated, pair_setup, capsys):
     assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
     err = capsys.readouterr().err
     assert err == f"qsup: error: {pair_setup / 'odd.jsonl'}:2: repeated {repeated}\n"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("word_targets_classes80_with_text_vocab",
+     "word-targets: --text-vocab is not read with --mode classes80"),
+    ("eval_vqa_with_labels", "eval: --labels is not read with --task vqa"),
+    ("eval_extraction_with_pred", "eval: --pred is not read with --task extraction"),
+    ("simulate_keep_with_out_rest", "simulate: --out-rest is not read with --keep 1"),
+])
+def test_unread_flags_are_named_with_the_mode(case, message, pair_setup, capsys):
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not list(pair_setup.glob("*.snapshot.json"))
+
+
+def test_bootstrap_without_out_writes_its_snapshot_next_to_the_predictions(tmp_path, capsys):
+    write_table2_fixture(tmp_path / "data.json")
+    manifest = json.loads((tmp_path / "data.json").read_text())
+    for q in manifest["questions"]:
+        q["answer"] = "red"
+    (tmp_path / "data.json").write_text(json.dumps(manifest))
+    (tmp_path / "preds").mkdir()
+    pred = tmp_path / "preds" / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"question_id": q["id"], "image_id": q["image_id"],
+                                        "answer": "red"}) + "\n"
+                            for q in manifest["questions"]))
+    assert main(["bootstrap", "--pred", str(pred), "--dataset", str(tmp_path / "data.json"),
+                 "--resamples", "1000", "--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+    snapshot = json.loads((tmp_path / "preds" / "bootstrap.snapshot.json").read_text())
+    assert snapshot["seed"] == 4 and snapshot["out"] is None
 
 
 def test_predict_reads_the_well_formed_contract_model(pair_setup):

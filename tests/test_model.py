@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qsup.model as model_module
 import qsup.vocab as vocab_module
@@ -27,7 +29,7 @@ from qsup.model import (
 )
 from qsup.qparse import Question, tokenize
 from qsup.synth import answer_accuracy, make_pair_dataset, make_separable_dataset
-from qsup.vocab import BowVector, Vocabulary, build_vocabulary
+from qsup.vocab import BowVector, Vocabulary, bow_featurize, build_vocabulary, token_positions
 
 
 def random_model(rng, v=5, d_t=3, d_e=3, d_img=4, answers=("a", "b", "c")):
@@ -460,6 +462,72 @@ class TestSparseBatchedPath:
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert answer == model.answer_vocab[int(np.argmax(want))]
 
+    def test_predict_batch_over_windows_matches_predict_and_64_example_slices(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
+        vocab = Vocabulary(words)
+        model = random_model(rng, v=len(words), answers=("a", "b", "c", "d", "e"))
+        # objects shared by every window, and so across each window boundary
+        shared = [Question("s0", 0, "what is the red cat"), Question("s1", 0, "is the dog left"),
+                  Question("s2", 0, "what is the red cat")]
+        examples = []
+        for i in range(600):  # windows of 256, 256 and 88 examples
+            text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
+            target = shared[i % 3] if i % 5 == 0 or 254 <= i < 258 else Question(f"q{i}", i, text)
+            own = Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))
+            extras = (None, [], [shared[0], shared[2]], [shared[1], own], [own])[i % 5]
+            examples.append((rng.normal(size=4), target, extras))
+        texts = {q.text for _, target, extras in examples for q in [target, *(extras or ())]}
+        calls = Counter()
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(vocab_module, "tokenize", counting_tokenize)
+        batched = list(predict_batch(model, vocab, examples))
+        assert set(calls) == texts
+        assert max(calls.values()) == 1
+        monkeypatch.undo()
+
+        assert len(batched) == len(examples)
+        for example, (answer, probs) in zip(examples, batched):
+            one_answer, one_probs = predict(model, vocab, *example)
+            assert answer == one_answer
+            np.testing.assert_allclose(probs, one_probs, rtol=0, atol=1e-12)
+        for lo in range(0, len(examples), 64):
+            for (answer, probs), (one_answer, one_probs) in zip(
+                    batched[lo : lo + 64], predict_batch(model, vocab, examples[lo : lo + 64])):
+                assert answer == one_answer
+                assert np.array_equal(probs, one_probs)
+
+    def test_predict_batch_checks_the_vocabulary_size_before_reading_examples(self):
+        model = random_model(np.random.default_rng(74), v=5)
+
+        def unread():
+            raise AssertionError("an example was read")
+            yield
+
+        with pytest.raises(DimMismatch, match=r"vocabulary of 3 words vs 5 embedding rows"):
+            next(predict_batch(model, Vocabulary(["what", "is", "red"]), unread()))
+
+    @given(st.lists(st.lists(st.sampled_from(["what", "is", "red", "cat", "zebra", "unseen"]),
+                             max_size=8), max_size=6))
+    @example([[], ["zebra", "unseen"], ["cat", "is", "cat", "cat", "unseen"], []])
+    def test_position_bag_rows_count_as_bow_featurize(self, token_lists):
+        vocab = Vocabulary(["what", "is", "red", "cat"])
+        bags = model_module._bags([token_positions("", vocab, tokens) for tokens in token_lists])
+        assert len(bags.ptr) == len(token_lists) + 1 and bags.ptr[0] == 0
+        for r, tokens in enumerate(token_lists):
+            positions = bags.positions[bags.ptr[r] : bags.ptr[r + 1]].tolist()
+            counts = bags.counts[bags.ptr[r] : bags.ptr[r + 1]].tolist()
+            assert positions == sorted(set(positions))
+            assert dict(zip(positions, counts)) == bow_featurize("", vocab, tokens).entries
+        from_bows = model_module._bag_rows(
+            [bow_featurize("", vocab, tokens) for tokens in token_lists], len(vocab))
+        for got, want in zip(from_bows, bags):
+            assert np.array_equal(got, want)
+
     def test_unused_word_keeps_initial_embedding(self):
         records, features, vocab, exemplars = separable_setup(60)
         vocab = Vocabulary(list(vocab.words) + ["never"])
@@ -600,7 +668,7 @@ class TestQuestionRows:
         examples = [
             (features[r.image_id], q, [x for x in r.all_questions if x.id != q.id])
             for r in images for q in r.all_questions
-        ] * 30  # spans three 64-example chunks
+        ] * 30  # 180 examples: one window, three forward passes
         assert len(list(predict_batch(model, vocab, examples))) == len(examples)
         assert set(calls) == texts
         assert max(calls.values()) == 1
