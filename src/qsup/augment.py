@@ -5,21 +5,22 @@ An image's exemplars are enumerated as index arrays: each row is a target
 question plus extra questions selected by a mask, where bit b picks question
 b of ``answered + unanswered``.  ``exemplar_rows`` gives the rows of many
 images as one ``ExemplarRows`` without an object per exemplar, for training;
-``generate_exemplars`` streams the same rows of one image as ``Exemplar``
-objects, a bounded number of rows at a time.
+``generate_exemplars`` streams the same rows of one image, a bounded number
+of rows at a time, as ``Exemplar`` objects or as whatever its ``make`` builds
+from a row's indices (``qsup augment`` builds each JSONL line).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NoAnswered, UnknownMode
+from .errors import NoAnswered
+from .modes import AugmentMode, coerce
 from .qparse import Question
 
 __all__ = [
@@ -79,22 +80,6 @@ class Exemplar:
         return self.target_question.answer
 
 
-class AugmentMode(enum.Enum):
-    PLAIN = "plain"
-    POWERSET = "powerset"
-    CONCAT_ONLY = "concat_only"
-    POWERSET_NO_EMPTY = "powerset_no_empty"
-
-
-def _coerce_mode(mode: AugmentMode | str) -> AugmentMode:
-    if isinstance(mode, AugmentMode):
-        return mode
-    try:
-        return AugmentMode(mode)
-    except ValueError:
-        raise UnknownMode(f"unknown augmentation mode {mode!r}") from None
-
-
 _STREAM_ROWS = 4096  # exemplars enumerated at a time by generate_exemplars; bounds its memory
 
 
@@ -128,7 +113,9 @@ def _exemplar_rows(n_answered: int, n_total: int, mode: AugmentMode,
 
 
 def generate_exemplars(
-    record: ImageRecord, mode: AugmentMode | str = AugmentMode.POWERSET
+    record: ImageRecord,
+    mode: AugmentMode | str = AugmentMode.POWERSET,
+    make: Callable[[int, list[int]], object] | None = None,
 ) -> Iterator[Exemplar]:
     """Stream training exemplars for one image.
 
@@ -140,21 +127,25 @@ def generate_exemplars(
     concat_only: one exemplar per answered question with every other
         question as extras.
     powerset_no_empty: powerset without the empty-extras exemplars.
+
+    Given ``make``, each exemplar is ``make(target, extras)`` instead of an
+    ``Exemplar``, from its question indices into ``record.all_questions``.
     """
-    mode = _coerce_mode(mode)
+    mode = coerce(AugmentMode, mode, "augmentation")
     if not record.answered:
         raise NoAnswered(f"image {record.image_id} has no answered questions")
+    q_all = record.all_questions
+    if make is None:
+        def make(target: int, chosen: list[int]) -> Exemplar:
+            return Exemplar(record.image_id, q_all[target], tuple(map(q_all.__getitem__, chosen)))
 
     def _generate() -> Iterator[Exemplar]:
-        q_all = record.all_questions
         m, n = len(record.answered), len(q_all)
         for lo in range(0, m * _rows_per_target(n, mode), _STREAM_ROWS):
             rows = _exemplar_rows(m, n, mode, lo, lo + _STREAM_ROWS)
             targets, extra_ptr, extras = (part.tolist() for part in rows)
             for row, target in enumerate(targets):
-                chosen = extras[extra_ptr[row] : extra_ptr[row + 1]]
-                yield Exemplar(record.image_id, q_all[target],
-                               tuple(map(q_all.__getitem__, chosen)))
+                yield make(target, extras[extra_ptr[row] : extra_ptr[row + 1]])
 
     return _generate()
 
@@ -174,7 +165,7 @@ class ExemplarRows(NamedTuple):
 def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> ExemplarRows:
     """The exemplars ``generate_exemplars`` gives for each record with an
     answered question, in the same order, with no object per exemplar."""
-    mode = _coerce_mode(mode)
+    mode = coerce(AugmentMode, mode, "augmentation")
     questions: list[Question] = []
     image_ids, targets, extra_ptr, extras = [], [], [np.zeros(1, np.intp)], []
     for record in records:

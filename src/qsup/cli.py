@@ -18,9 +18,11 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import augment, dataio, evalstats, qparse, vocab as vocabmod
+# augment, model, vocab and evalstats are imported by the commands that run them,
+# so that extract and eval --task vqa start without numpy
+from . import dataio, qparse
 from .errors import DanglingReference, DimMismatch, EmptyVector, QsupError
-from .model import predict_batch, train
+from .modes import AugmentMode, WordTargetMode
 from .qparse import write_json, write_lines
 
 logger = logging.getLogger(__name__)
@@ -104,14 +106,24 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _exemplar_lines(record, mode: str):
+    """The JSONL line of each exemplar of ``record``, as ``json.dumps`` of
+    {image_id, target_id, extra_ids, answer} gives it, from each question's
+    id and answer encoded once."""
+    from .augment import generate_exemplars
+    ids = [json.dumps(q.id) for q in record.all_questions]
+    head = f'{{"image_id": {json.dumps(record.image_id)}, "target_id": '
+    tails = [f'], "answer": {json.dumps(q.answer)}}}' for q in record.answered]
+    return generate_exemplars(record, mode, lambda target, extras: (
+        f'{head}{ids[target]}, "extra_ids": [{", ".join([ids[i] for i in extras])}{tails[target]}'
+    ))
+
+
 def _cmd_augment(args) -> int:
     manifest = dataio.load_dataset(getattr(args, "in"))
     records = dataio.build_image_records(manifest)
     count = write_lines(args.out, (
-        json.dumps({"image_id": ex.image_id, "target_id": ex.target_question.id,
-                    "extra_ids": [q.id for q in ex.extra], "answer": ex.answer})
-        for record in records if record.answered
-        for ex in augment.generate_exemplars(record, args.mode)
+        line for record in records if record.answered for line in _exemplar_lines(record, args.mode)
     ))
     logger.info("wrote %d exemplars", count)
     _write_snapshot(Path(args.out).parent, "augment", _args_snapshot(args))
@@ -119,6 +131,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import augment, vocab as vocabmod
+    from .model import train
     cfg = dataio.load_run_config(args.config)
     manifest = dataio.load_dataset(cfg.dataset)
     records = dataio.build_image_records(manifest)
@@ -149,6 +163,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import vocab as vocabmod
+    from .model import predict_batch
     model = dataio.load_model(args.model)
     text_vocab = vocabmod.load_vocabulary(args.vocab)
     if len(text_vocab) != model.vocab_size:
@@ -199,6 +215,7 @@ def _matched_pairs(pred_path: str, dataset_path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_eval(args) -> int:
+    from . import evalstats
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.task == "vqa":
@@ -255,6 +272,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    from . import evalstats
     pairs = _matched_pairs(args.pred, args.dataset)
     correct = evalstats.correct_flags(pairs)
     lower, upper = evalstats.bootstrap_ci(correct, args.confidence, args.resamples, args.seed)
@@ -273,12 +291,13 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_word_targets(args) -> int:
+    from . import vocab as vocabmod
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
-    mode = vocabmod.WordTargetMode(args.mode)
+    mode = WordTargetMode(args.mode)
 
     obj_vocab = types = text_vocab = None
-    if mode is vocabmod.WordTargetMode.CLASSES_80:
+    if mode is WordTargetMode.CLASSES_80:
         obj_vocab, types = _load_tables(args)
     else:
         text_vocab = (
@@ -305,6 +324,7 @@ def _records_to_manifest(records, original: dataio.DatasetManifest) -> dataio.Da
 
 
 def _cmd_simulate(args) -> int:
+    from . import augment
     manifest = dataio.load_dataset(getattr(args, "in"))
     records = dataio.build_image_records(manifest)
     out_path = Path(args.out)
@@ -339,7 +359,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("augment", help="generate training exemplars")
     p.add_argument("--in", required=True, help="dataset manifest (JSON)")
     p.add_argument("--mode", default="powerset",
-                   choices=[m.value for m in augment.AugmentMode])
+                   choices=[m.value for m in AugmentMode])
     p.add_argument("--out", required=True, help="output JSONL of exemplar records")
     p.set_defaults(func=_cmd_augment)
 
@@ -381,7 +401,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("word-targets", help="multi-label word targets per image")
     p.add_argument("--questions", required=True, help="dataset manifest (JSON)")
     p.add_argument("--mode", required=True,
-                   choices=[m.value for m in vocabmod.WordTargetMode])
+                   choices=[m.value for m in WordTargetMode])
     p.add_argument("--out", required=True, help="output JSONL (a .words sidecar is added)")
     p.add_argument("--text-vocab", help="vocabulary file; built from the data if absent")
     p.add_argument("--min-count", type=_checked(int, lambda n: n >= 1, ">= 1"))

@@ -19,11 +19,8 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Mapping
 
-import numpy as np
-
-from .augment import ImageRecord
 from .errors import (
     BadMagic,
     DanglingReference,
@@ -32,8 +29,12 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .model import LinearModel, TrainConfig
 from .qparse import Question, read_text, write_json
+
+if TYPE_CHECKING:  # the feature and model files, and the run config, import these where used
+    import numpy as np
+    from .augment import ImageRecord
+    from .model import LinearModel, TrainConfig
 
 __all__ = [
     "ImageEntry",
@@ -270,6 +271,7 @@ def questions_by_image(manifest: DatasetManifest) -> dict[int, list[Question]]:
 
 def build_image_records(manifest: DatasetManifest) -> list[ImageRecord]:
     """Group manifest questions into per-image records by answer presence."""
+    from .augment import ImageRecord
     grouped = questions_by_image(manifest)
     records = []
     for entry in manifest.images:
@@ -311,6 +313,7 @@ def _check_header(fh: BinaryIO, magic: bytes) -> None:
 
 def save_features(features: Mapping[int, np.ndarray], path: str | Path, dim: int | None = None) -> None:
     """Write an image-feature table; ``dim`` is required only when empty."""
+    import numpy as np
     items = list(features.items())
     if items:
         dims = {len(np.asarray(v).ravel()) for _, v in items}
@@ -327,7 +330,9 @@ def save_features(features: Mapping[int, np.ndarray], path: str | Path, dim: int
 
 
 def load_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read an image-feature table; rejects duplicate ids and short files."""
+    """Read an image-feature table; rejects duplicate ids and files shorter
+    or longer than their header declares."""
+    import numpy as np
     with open(path, "rb") as fh:
         _check_header(fh, FEATURE_MAGIC)
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "count/dim header"))
@@ -338,6 +343,8 @@ def load_features(path: str | Path) -> dict[int, np.ndarray]:
             if image_id in table:
                 raise DuplicateId(f"image {image_id} appears twice")
             table[image_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if fh.read(1):
+            raise ParseError(f"{path}: file goes on after the {count} rows its header declares")
     return table
 
 
@@ -346,6 +353,7 @@ def load_features(path: str | Path) -> dict[int, np.ndarray]:
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
+    import numpy as np
     d_img, d_t, d_e, n_answers = model.dims
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", MODEL_MAGIC, FORMAT_VERSION))
@@ -361,6 +369,8 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LinearModel:
     """Read a model file; parameters come back as float64 copies of the
     stored float32 values, so save -> load -> save is byte-identical."""
+    import numpy as np
+    from .model import LinearModel
     with open(path, "rb") as fh:
         _check_header(fh, MODEL_MAGIC)
         d_img, d_t, d_e, n_answers, vocab_size = struct.unpack(
@@ -382,6 +392,8 @@ def load_model(path: str | Path) -> LinearModel:
         embed_extra = read_array((vocab_size, d_e), "extra embedding")
         fc_weights = read_array((n_answers, d_img + d_t + d_e), "fc weights")
         fc_bias = read_array((n_answers,), "fc bias")
+        if fh.read(1):
+            raise ParseError(f"{path}: file goes on after the fc bias")
     try:
         answer_vocab = tuple(raw.decode("utf-8") for raw in answers)
         return LinearModel(embed_target, embed_extra, fc_weights, fc_bias, answer_vocab)
@@ -406,13 +418,11 @@ class RunConfig:
     min_count: int = 1
 
 
-_TRAIN_FIELDS = {
-    f.name: _INT if f.type in (int, "int") else _NUMBER
-    for f in dataclasses.fields(TrainConfig)
-}
-
-
 def load_run_config(path: str | Path) -> RunConfig:
+    from .model import TrainConfig
+    train_fields = {
+        f.name: _INT if f.type in (int, "int") else _NUMBER for f in dataclasses.fields(TrainConfig)
+    }
     payload = _read_json(path)
     base = Path(path).parent
 
@@ -429,9 +439,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     section = _field(payload, "train", _OBJECT, path, {})
     train_params = {"seed": seed}
     for key in section:
-        if key not in _TRAIN_FIELDS:
+        if key not in train_fields:
             raise ParseError(f"{path}: train: unknown field {key!r}")
-        train_params[key] = _field(section, key, _TRAIN_FIELDS[key], f"{path}: train")
+        train_params[key] = _field(section, key, train_fields[key], f"{path}: train")
     try:
         train_cfg = TrainConfig(**train_params)
     except ValueError as exc:

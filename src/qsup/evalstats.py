@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DimMismatch, EmptyAnswer, EmptyVector, LengthMismatch
 from .qparse import LabelSet
+
+if TYPE_CHECKING:  # answer matching runs without numpy; the array statistics import it
+    import numpy as np
 
 __all__ = [
     "ClassPR",
@@ -49,6 +50,7 @@ def per_class_pr(predicted: Sequence[LabelSet], truth: Sequence[LabelSet]) -> Pr
     Classes never predicted get precision 0; classes with zero support get
     recall 0.  The means are unweighted over every class in the vocabulary.
     """
+    import numpy as np
     if len(predicted) != len(truth):
         raise LengthMismatch(f"{len(predicted)} predictions vs {len(truth)} truths")
     if not predicted:
@@ -76,6 +78,7 @@ def per_class_pr(predicted: Sequence[LabelSet], truth: Sequence[LabelSet]) -> Pr
 
 def fuse_max(x_o: np.ndarray, x_c: np.ndarray) -> np.ndarray:
     """Elementwise max of the question-derived vector and classifier scores."""
+    import numpy as np
     x_o = np.asarray(x_o, dtype=np.float64)
     x_c = np.asarray(x_c, dtype=np.float64)
     if x_o.shape != x_c.shape:
@@ -95,6 +98,7 @@ def mean_average_precision(
     ranks.  Classes with no positive image get AP None and are excluded
     from the mean; the mean is 0.0 if no class has positives.
     """
+    import numpy as np
     if set(scores) != set(truth):
         raise LengthMismatch("score and truth image ids differ")
     ids = sorted(scores)
@@ -168,6 +172,14 @@ def _answer_match(pred: str, truth: str) -> bool:
     return _normalize_answer(pred) == _normalize_answer(truth)
 
 
+def _mean(scores: Sequence[float], exact: bool) -> float:
+    """``np.mean(scores)``, without numpy for ``exact`` scores (each 0 or 1): they sum exactly."""
+    if exact:
+        return sum(scores) / len(scores)
+    import numpy as np
+    return float(np.mean(scores))
+
+
 def vqa_accuracy(
     predictions: Sequence[tuple[str, str | Sequence[str]]],
     consensus: bool = False,
@@ -197,9 +209,9 @@ def vqa_accuracy(
             score = float(_answer_match(pred, truths[0]))
         scores[answer_type].append(score)
 
-    by_type = {t: float(np.mean(v)) for t, v in scores.items() if v}
+    by_type = {t: _mean(v, not consensus) for t, v in scores.items() if v}
     n_examples = {t: len(v) for t, v in scores.items() if v}
-    overall = float(np.mean([s for v in scores.values() for s in v]))
+    overall = _mean([s for v in scores.values() for s in v], not consensus)
     return AccuracyReport(overall, by_type, n_examples)
 
 
@@ -222,6 +234,7 @@ def bootstrap_ci(
     how resamples are scheduled.  The bounds are linear-interpolation
     percentiles of the resampled accuracies.
     """
+    import numpy as np
     data = np.asarray(correct, dtype=np.float64)
     if data.size == 0:
         raise EmptyVector("cannot bootstrap an empty vector")

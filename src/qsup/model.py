@@ -527,10 +527,14 @@ def train(
     for epoch in range(config.epochs):
         for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
             _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
-            model.fc_weights -= lr * d_weights
-            model.fc_bias -= lr * d_bias
+            # each gradient is a fresh array, so it is scaled in place
+            d_weights *= lr
+            model.fc_weights -= d_weights
+            d_bias *= lr
+            model.fc_bias -= d_bias
             for embedding, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):
-                embedding[words] -= lr * grad
+                grad *= lr
+                embedding[words] -= grad
         for param in model.parameters().values():
             if not np.isfinite(param).all():
                 raise FloatingPointError(f"non-finite parameters after epoch {epoch}")

@@ -21,11 +21,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import MalformedQuestion, MixedImages, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Question",
@@ -274,6 +275,7 @@ class LabelSet:
 
     @property
     def as_vector(self) -> np.ndarray:
+        import numpy as np
         return np.array([1 if c in self.present else 0 for c in self.classes], dtype=np.int8)
 
 

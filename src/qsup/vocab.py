@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -10,7 +9,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, KTooLarge, ParseError, UnknownMode
+from .errors import EmptyCorpus, KTooLarge, ParseError
+from .modes import WordTargetMode, coerce
 from .qparse import (
     ObjectVocabulary,
     Question,
@@ -157,12 +157,6 @@ def tfidf_rank(corpus: Sequence[Question], vocab: Vocabulary, k: int) -> list[st
     return ranked[:k]
 
 
-class WordTargetMode(enum.Enum):
-    FULL = "full"
-    TFIDF_1024 = "tfidf1024"
-    CLASSES_80 = "classes80"
-
-
 @dataclass(frozen=True)
 class WordTarget:
     """Binary word-presence labels for one image."""
@@ -172,15 +166,6 @@ class WordTarget:
 
     def indices(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.labels)]
-
-
-def _coerce_mode(mode: WordTargetMode | str) -> WordTargetMode:
-    if isinstance(mode, WordTargetMode):
-        return mode
-    try:
-        return WordTargetMode(mode)
-    except ValueError:
-        raise UnknownMode(f"unknown word-target mode {mode!r}") from None
 
 
 def word_targets(
@@ -197,7 +182,7 @@ def word_targets(
     tfidf1024: the same, restricted to the top tf-idf words (at most 1024).
     classes80: the extracted object-class vector.
     """
-    mode = _coerce_mode(mode)
+    mode = coerce(WordTargetMode, mode, "word-target")
     if mode is WordTargetMode.CLASSES_80:
         if object_vocab is None or type_table is None:
             raise ValueError("classes80 mode needs an object vocabulary and type table")

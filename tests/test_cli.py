@@ -1,4 +1,5 @@
 import json
+import random
 import struct
 from collections import Counter
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qsup import dataio, qparse, vocab
+from qsup.augment import generate_exemplars
 from qsup.cli import main
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
 from qsup.synth import make_pair_dataset
@@ -105,6 +107,28 @@ class TestAugment:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 3 * 4  # 1 answered, |Q_all|=2 per image
         assert {"image_id", "target_id", "extra_ids", "answer"} <= set(rows[0])
+
+    @pytest.mark.parametrize("mode", ["plain", "powerset", "concat_only", "powerset_no_empty"])
+    def test_each_line_is_json_dumps_of_its_exemplar(self, tmp_path, mode):
+        questions = [
+            {"id": 7, "image_id": 1, "text": "What is it?", "answer": 'caf\u00e9 "x"'},
+            {"id": 'q\u00e9"\\', "image_id": 1, "text": "Is it red?", "answer": "no"},
+            {"id": -3, "image_id": 1, "text": "How many?"},
+            {"id": "a", "image_id": 2, "text": "What color?", "answer": "\U0001f600"},
+            {"id": "b", "image_id": 3, "text": "Why?"},
+        ]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"images": [{"image_id": i} for i in (1, 2, 3)],
+                                    "questions": questions}))
+        out = tmp_path / "ex.jsonl"
+        assert main(["augment", "--in", str(data), "--mode", mode, "--out", str(out)]) == 0
+        expected = [
+            json.dumps({"image_id": ex.image_id, "target_id": ex.target_question.id,
+                        "extra_ids": [q.id for q in ex.extra], "answer": ex.answer})
+            for record in dataio.build_image_records(dataio.load_dataset(data)) if record.answered
+            for ex in generate_exemplars(record, mode)
+        ]
+        assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
 class TestTrainPredictEval:
@@ -378,6 +402,12 @@ def _predict_with_cut_file(flag, cut):
     return build
 
 
+def _undercount(raw):
+    """A feature file whose header declares one row fewer than it holds."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    return raw[:8] + struct.pack("<I", count - 1) + raw[12:]
+
+
 def _features_without(base, image_id):
     """pair_setup's feature file without the row of ``image_id``; its name."""
     table = dataio.load_features(base / "feats.qvft")
@@ -525,6 +555,9 @@ CONTRACT_CASES = {
         _predict_with_cut_file("--features", lambda raw: raw[:1000]), 2),
     "predict_features_wrong_magic": (
         _predict_with_cut_file("--features", lambda raw: b"XXXX" + raw[4:]), 2),
+    "predict_features_rows_past_count": (_predict_with_cut_file("--features", _undercount), 2),
+    "predict_model_bytes_past_bias": (
+        _predict_with_cut_file("--model", lambda raw: raw + b"\0\0\0\0"), 2),
     "train_image_without_features": (
         lambda b: _run_config_with(b, features=_features_without(b, 59)), 2),
     "predict_image_without_features": (_predict_without_features_of(59), 2),
@@ -557,11 +590,14 @@ CONTRACT_CASES = {
 
 @pytest.mark.parametrize("case, flag", [("predict_truncated_model", "--model"),
                                         ("predict_truncated_features", "--features"),
-                                        ("predict_features_wrong_magic", "--features")])
+                                        ("predict_features_wrong_magic", "--features"),
+                                        ("predict_features_rows_past_count", "--features"),
+                                        ("predict_model_bytes_past_bias", "--model")])
 def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
     argv = CONTRACT_CASES[case][0](pair_setup)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"qsup: error: {argv[argv.index(flag) + 1]}: ")
+    assert not (pair_setup / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", ["train_image_without_features",
@@ -641,3 +677,78 @@ def test_cli_contract_exit_codes(case, pair_setup, capsys):
         assert "usage:" in err
     else:
         assert error_lines[0].startswith("qsup: error:")
+
+
+# wrong-typed stand-ins for a field or a record list; JSON reads NaN back as a float
+_WRONG_VALUES = [None, True, -1, 1.5, 2**64, float("nan"), "", "x", [], [1], ["a"], {}, {"a": 1}]
+
+
+def _mutate(payload: dict, rng) -> str:
+    """Replace, delete or duplicate one field or record of the manifest
+    ``payload`` in place; says what it did."""
+    key = rng.choice(["images", "questions"])
+    records = payload[key]
+    action = rng.choice(["replace", "replace", "delete", "duplicate", "replace list"])
+    if action == "replace list" or not isinstance(records, list) or not records:
+        payload[key] = rng.choice(_WRONG_VALUES)
+        return f"{key} = {payload[key]!r}"
+    i = rng.randrange(len(records))
+    if action == "duplicate" or not isinstance(records[i], dict):
+        records.insert(rng.randrange(len(records) + 1), records[i])
+        return f"{key}[{i}] duplicated"
+    field = rng.choice(sorted(records[i]) + ["gt_labels", "choices", "answer"])
+    if action == "delete":
+        records[i] = {k: v for k, v in records[i].items() if k != field}
+        return f"{key}[{i}].{field} deleted"
+    records[i] = {**records[i], field: rng.choice(_WRONG_VALUES)}
+    return f"{key}[{i}].{field} = {records[i][field]!r}"
+
+
+def test_seeded_manifest_mutations_keep_the_cli_contract(tmp_path, capsys):
+    """50 seeded mutations of a small demo manifest, each run through every
+    command that reads a manifest: each run exits 0, 1 or 2, a failure with
+    one error line, and no run raises (a command missing an import would)."""
+    records, features = make_pair_dataset(20, seed=7)
+    save_dataset(records_to_manifest(records), tmp_path / "demo.json")
+    save_features(features, tmp_path / "f.qvft")
+    run = {"features": "f.qvft", "seed": 1,
+           "train": {"epochs": 1, "batch_size": 16, "answer_vocab_size": 4, "embed_dim": 4}}
+    # the model and predictions of the intact manifest, read by predict, eval and bootstrap
+    (tmp_path / "base.json").write_text(
+        json.dumps({**run, "dataset": "demo.json", "out_dir": "base"}))
+    (tmp_path / "run.json").write_text(json.dumps({**run, "dataset": "m.json", "out_dir": "out"}))
+    m, t = str(tmp_path / "m.json"), str(tmp_path)
+    assert main(["train", "--config", f"{t}/base.json"]) == 0
+    assert main(["predict", "--model", f"{t}/base/model.qsmd", "--vocab", f"{t}/base/vocab.txt",
+                 "--features", f"{t}/f.qvft", "--questions", f"{t}/demo.json",
+                 "--out", f"{t}/pred.jsonl"]) == 0
+    commands = [
+        ["extract", "--questions", m, "--out", f"{t}/l.jsonl"],
+        ["augment", "--in", m, "--out", f"{t}/e.jsonl"],
+        ["train", "--config", f"{t}/run.json"],
+        ["predict", "--model", f"{t}/base/model.qsmd", "--vocab", f"{t}/base/vocab.txt",
+         "--features", f"{t}/f.qvft", "--questions", m, "--out", f"{t}/p.jsonl", "--use-extras"],
+        ["eval", "--pred", f"{t}/pred.jsonl", "--dataset", m, "--out-prefix", f"{t}/r"],
+        ["bootstrap", "--pred", f"{t}/pred.jsonl", "--dataset", m, "--resamples", "1000"],
+        ["word-targets", "--questions", m, "--mode", "full", "--out", f"{t}/w.jsonl"],
+        ["simulate", "--in", m, "--seed", "1", "--keep", "1", "--out", f"{t}/s.json"],
+    ]
+    codes = Counter()
+    capsys.readouterr()
+    for seed in range(50):
+        rng = random.Random(seed)
+        payload = json.loads((tmp_path / "demo.json").read_text())
+        what = "; ".join(_mutate(payload, rng) for _ in range(rng.randint(1, 3)))
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        for argv in commands:
+            try:
+                code = main(argv)
+            except Exception as exc:  # any exception breaks the contract; name the mutation
+                pytest.fail(f"seed {seed} ({what}), {argv[0]} raised {exc!r}")
+            err = capsys.readouterr().err
+            error_lines = [line for line in err.splitlines() if "error:" in line]
+            context = f"seed {seed} ({what}), {argv[0]} exit {code}: {err!r}"
+            assert code in (0, 1, 2) and "Traceback" not in err, context
+            assert len(error_lines) == (code != 0), context
+            codes[code] += 1
+    assert codes[0] > 50 and codes[2] > 50, codes  # the mutations reach both outcomes
