@@ -116,7 +116,7 @@ def generate_exemplars(
     record: ImageRecord,
     mode: AugmentMode | str = AugmentMode.POWERSET,
     make: Callable[[int, list[int]], object] | None = None,
-) -> Iterator[Exemplar]:
+) -> Iterator[object]:
     """Stream training exemplars for one image.
 
     plain: one exemplar per answered question, no extras.
@@ -139,7 +139,7 @@ def generate_exemplars(
         def make(target: int, chosen: list[int]) -> Exemplar:
             return Exemplar(record.image_id, q_all[target], tuple(map(q_all.__getitem__, chosen)))
 
-    def _generate() -> Iterator[Exemplar]:
+    def _generate() -> Iterator[object]:
         m, n = len(record.answered), len(q_all)
         for lo in range(0, m * _rows_per_target(n, mode), _STREAM_ROWS):
             rows = _exemplar_rows(m, n, mode, lo, lo + _STREAM_ROWS)

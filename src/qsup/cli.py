@@ -358,8 +358,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("augment", help="generate training exemplars")
     p.add_argument("--in", required=True, help="dataset manifest (JSON)")
-    p.add_argument("--mode", default="powerset",
-                   choices=[m.value for m in AugmentMode])
+    p.add_argument("--mode", default="powerset", choices=[m.value for m in AugmentMode])
     p.add_argument("--out", required=True, help="output JSONL of exemplar records")
     p.set_defaults(func=_cmd_augment)
 
@@ -400,8 +399,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("word-targets", help="multi-label word targets per image")
     p.add_argument("--questions", required=True, help="dataset manifest (JSON)")
-    p.add_argument("--mode", required=True,
-                   choices=[m.value for m in WordTargetMode])
+    p.add_argument("--mode", required=True, choices=[m.value for m in WordTargetMode])
     p.add_argument("--out", required=True, help="output JSONL (a .words sidecar is added)")
     p.add_argument("--text-vocab", help="vocabulary file; built from the data if absent")
     p.add_argument("--min-count", type=_checked(int, lambda n: n >= 1, ">= 1"))

@@ -420,9 +420,6 @@ class RunConfig:
 
 def load_run_config(path: str | Path) -> RunConfig:
     from .model import TrainConfig
-    train_fields = {
-        f.name: _INT if f.type in (int, "int") else _NUMBER for f in dataclasses.fields(TrainConfig)
-    }
     payload = _read_json(path)
     base = Path(path).parent
 
@@ -438,10 +435,12 @@ def load_run_config(path: str | Path) -> RunConfig:
     seed = _field(payload, "seed", _INDEX, path)
     section = _field(payload, "train", _OBJECT, path, {})
     train_params = {"seed": seed}
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     for key in section:
-        if key not in train_fields:
+        if key not in types:
             raise ParseError(f"{path}: train: unknown field {key!r}")
-        train_params[key] = _field(section, key, train_fields[key], f"{path}: train")
+        kind = _INT if types[key] in (int, "int") else _NUMBER
+        train_params[key] = _field(section, key, kind, f"{path}: train")
     try:
         train_cfg = TrainConfig(**train_params)
     except ValueError as exc:

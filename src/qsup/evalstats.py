@@ -172,14 +172,6 @@ def _answer_match(pred: str, truth: str) -> bool:
     return _normalize_answer(pred) == _normalize_answer(truth)
 
 
-def _mean(scores: Sequence[float], exact: bool) -> float:
-    """``np.mean(scores)``, without numpy for ``exact`` scores (each 0 or 1): they sum exactly."""
-    if exact:
-        return sum(scores) / len(scores)
-    import numpy as np
-    return float(np.mean(scores))
-
-
 def vqa_accuracy(
     predictions: Sequence[tuple[str, str | Sequence[str]]],
     consensus: bool = False,
@@ -209,9 +201,9 @@ def vqa_accuracy(
             score = float(_answer_match(pred, truths[0]))
         scores[answer_type].append(score)
 
-    by_type = {t: _mean(v, not consensus) for t, v in scores.items() if v}
+    by_type = {t: sum(v) / len(v) for t, v in scores.items() if v}
     n_examples = {t: len(v) for t, v in scores.items() if v}
-    overall = _mean([s for v in scores.values() for s in v], not consensus)
+    overall = sum(s for v in scores.values() for s in v) / len(predictions)
     return AccuracyReport(overall, by_type, n_examples)
 
 
