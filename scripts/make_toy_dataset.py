@@ -26,8 +26,10 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     records, features = make_pair_dataset(args.images, seed=args.seed)
+    # the synthetic images show no object of the default vocabulary, so every
+    # image lists empty gt_labels; they give `qsup eval --task extraction` its images
     manifest = DatasetManifest(
-        images=tuple(ImageEntry(r.image_id, r.image_id) for r in records),
+        images=tuple(ImageEntry(r.image_id, r.image_id, ()) for r in records),
         questions=tuple(q for r in records for q in r.all_questions),
     )
     save_dataset(manifest, out / "data.json")

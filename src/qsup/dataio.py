@@ -18,6 +18,10 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Mapping
 
@@ -29,7 +33,7 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .qparse import Question, read_text, write_json
+from .qparse import Question, read_text, write_lines
 
 if TYPE_CHECKING:  # the feature and model files, and the run config, import these where used
     import numpy as np
@@ -73,7 +77,7 @@ class DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# JSON inputs: every reader checks its fields with _field
+# JSON inputs: every reader checks its fields with the kinds below
 
 
 def _read_json(path: str | Path, lines: bool = False):
@@ -118,7 +122,7 @@ def _is_int(value) -> bool:
     return type(value) is int  # JSON true decodes to bool, an int subclass
 
 
-# (check, what) kinds for _field; no check accepts None
+# (check, what) kinds for _field and _columns_pass; no check accepts None
 _INT = (_is_int, "an integer")
 _INDEX = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _POSITIVE = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
@@ -133,30 +137,73 @@ _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
-def _records(payload: dict, key: str, context: str):
-    """(context, record) for each object in the list ``payload[key]``."""
-    prefix = f"{context}: {key}"
-    for i, record in enumerate(_field(payload, key, _LIST, context, [])):
+def _columns_pass(records: list, fields: tuple) -> bool:
+    """Whether every record is an object that passes the check of each (key,
+    kind, optional) field, one column at a time; absent optional values pass."""
+    if not set(map(type, records)) <= {dict}:
+        return False
+    for key, (check, _), optional in fields:
+        column = map(dict.get, records, repeat(key))
+        if not all(map(check, filter(partial(is_not, None), column) if optional else column)):
+            return False
+    return True
+
+
+def _records(payload: dict, key: str, context, fields: tuple, build) -> list:
+    """``build(*values)`` for each object in the list ``payload[key]``, with
+    the values of ``fields`` (absent optional ones None).  Only when a column
+    check or a build fails are the records walked with ``_field``, so the
+    first fault in record-then-field order raises."""
+    records = _field(payload, key, _LIST, context, [])
+    if _columns_pass(records, fields):
+        keys = [k for k, _, _ in fields]
+        try:
+            return [build(*map(record.get, keys)) for record in records]
+        except ValueError:
+            pass  # an answer outside its choices: the walk names the record
+    built = []
+    for i, record in enumerate(records):
+        where = f"{context}: {key}[{i}]"
         if not isinstance(record, dict):
-            raise ParseError(f"{prefix}[{i}]: expected an object")
-        yield f"{prefix}[{i}]", record
+            raise ParseError(f"{where}: expected an object")
+        values = [_field(record, k, kind, where, None if optional else _REQUIRED)
+                  for k, kind, optional in fields]
+        try:
+            built.append(build(*values))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    return built
 
 
-def _parse_question(
-    record: dict, context: str, keys=("id", "text", "choices"), answers: dict | None = None
-) -> Question:
-    """A question from its id, text and choices ``keys``; its answer is the
-    record's own ``answer`` or, given ``answers``, looked up there by id."""
-    id_key, text_key, choices_key = keys
-    qid = _field(record, id_key, _ID, context)
-    image_id = _field(record, "image_id", _INT, context)
-    text = _field(record, text_key, _TEXT, context)
-    choices = _field(record, choices_key, _STRINGS, context, None)
-    answer = _field(record, "answer", _STR, context, None) if answers is None else answers.get(qid)
-    try:
-        return Question(qid, image_id, text, answer, choices)
-    except ValueError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
+def _keyed(numbered: list, where, key: str, key_kind: tuple, value: str, value_kind: tuple) -> dict:
+    """``key`` -> ``value`` over the (number, record) pairs ``numbered``, a
+    key in two records being a ParseError.  Only when a column check fails or
+    a key repeats are the records walked, each named ``where(number)``, so
+    the first fault in record order raises."""
+    records = [record for _, record in numbered]
+    if _columns_pass(records, ((key, key_kind, False), (value, value_kind, False))):
+        table = dict(map(itemgetter(key, value), records))
+        if len(table) == len(records):
+            return table
+    table = {}
+    for number, record in numbered:
+        context = where(number)
+        if not isinstance(record, dict):
+            raise ParseError(f"{context}: expected an object")
+        k = _field(record, key, key_kind, context)
+        if k in table:
+            raise ParseError(f"{context}: repeated {key} {k!r}")
+        table[k] = _field(record, value, value_kind, context)
+    return table
+
+
+# (key, kind, optional) fields in the order they are checked
+_IMAGE_FIELDS = (("image_id", _INDEX, False), ("gt_labels", _STRINGS, True),
+                 ("feature_ref", _INDEX, True))
+_QUESTION_FIELDS = (("id", _ID, False), ("image_id", _INT, False), ("text", _TEXT, False),
+                    ("choices", _STRINGS, True), ("answer", _STR, True))
+_VQA_QUESTION_FIELDS = (("question_id", _ID, False), ("image_id", _INT, False),
+                        ("question", _TEXT, False), ("multiple_choices", _STRINGS, True))
 
 
 def _validate_manifest(images: list[ImageEntry], questions: list[Question]) -> DatasetManifest:
@@ -180,38 +227,46 @@ def _validate_manifest(images: list[ImageEntry], questions: list[Question]) -> D
 def load_dataset(path: str | Path) -> DatasetManifest:
     """Read and validate a dataset manifest (native JSON layout)."""
     payload = _read_json(path)
-    images = []
-    for context, record in _records(payload, "images", path):
-        image_id = _field(record, "image_id", _INDEX, context)
-        gt = _field(record, "gt_labels", _STRINGS, context, None)
-        feature_ref = _field(record, "feature_ref", _INDEX, context, image_id)
-        images.append(ImageEntry(image_id, feature_ref, None if gt is None else tuple(gt)))
-    questions = [_parse_question(r, context) for context, r in _records(payload, "questions", path)]
+    images = _records(payload, "images", path, _IMAGE_FIELDS,
+                      lambda i, gt, ref: ImageEntry(i, i if ref is None else ref,
+                                                    None if gt is None else tuple(gt)))
+    questions = _records(payload, "questions", path, _QUESTION_FIELDS,
+                         lambda qid, image_id, text, choices, answer:
+                         Question(qid, image_id, text, answer, choices))
     return _validate_manifest(images, questions)
 
 
+_int = int.__repr__  # as json.dumps writes an int
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """JSON texts ``items`` as ``json.dumps(indent=1)`` lays out a list whose
+    closing bracket sits at ``indent``."""
+    inner = f",\n{indent} "
+    return f"[\n{indent} {inner.join(items)}\n{indent}]" if items else "[]"
+
+
 def save_dataset(manifest: DatasetManifest, path: str | Path) -> None:
-    payload = {
-        "images": [
-            {
-                "image_id": e.image_id,
-                "feature_ref": e.feature_ref,
-                **({"gt_labels": list(e.gt_labels)} if e.gt_labels is not None else {}),
-            }
-            for e in manifest.images
-        ],
-        "questions": [
-            {
-                "id": q.id,
-                "image_id": q.image_id,
-                "text": q.text,
-                **({"answer": q.answer} if q.answer is not None else {}),
-                **({"choices": list(q.choices)} if q.choices is not None else {}),
-            }
-            for q in manifest.questions
-        ],
-    }
-    write_json(path, payload)
+    """Write ``manifest`` byte for byte as ``write_json`` writes its payload
+    dict.  The records are formatted here from C-encoded strings, because
+    ``json.dumps`` with an indent runs the pure-Python encoder."""
+    images = []
+    for e in manifest.images:
+        fields = f'"image_id": {_int(e.image_id)},\n   "feature_ref": {_int(e.feature_ref)}'
+        if e.gt_labels is not None:
+            fields += f',\n   "gt_labels": {_json_list(list(map(_encode, e.gt_labels)), "   ")}'
+        images.append(f"{{\n   {fields}\n  }}")
+    questions = []
+    for q in manifest.questions:
+        qid = _encode(q.id) if isinstance(q.id, str) else _int(q.id)
+        fields = f'"id": {qid},\n   "image_id": {_int(q.image_id)},\n   "text": {_encode(q.text)}'
+        if q.answer is not None:
+            fields += f',\n   "answer": {_encode(q.answer)}'
+        if q.choices is not None:
+            fields += f',\n   "choices": {_json_list(list(map(_encode, q.choices)), "   ")}'
+        questions.append(f"{{\n   {fields}\n  }}")
+    write_lines(path, ["{", f' "images": {_json_list(images, " ")},',
+                       f' "questions": {_json_list(questions, " ")}', "}"])
 
 
 def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | None = None) -> DatasetManifest:
@@ -219,47 +274,34 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
 
     ``questions_path`` holds {"questions": [{question_id, image_id, question,
     multiple_choices?}]}; the optional annotations file holds
-    {"annotations": [{question_id, multiple_choice_answer}]}.
+    {"annotations": [{question_id, multiple_choice_answer}]}, one per question.
     """
     answers: dict = {}
     if annotations_path is not None:
-        payload = _read_json(annotations_path)
-        for context, record in _records(payload, "annotations", annotations_path):
-            qid = _field(record, "question_id", _ID, context)
-            answers[qid] = _field(record, "multiple_choice_answer", _STR, context)
-    questions = [
-        _parse_question(r, context, ("question_id", "question", "multiple_choices"), answers)
-        for context, r in _records(_read_json(questions_path), "questions", questions_path)
-    ]
+        records = _field(_read_json(annotations_path), "annotations", _LIST, annotations_path, [])
+        answers = _keyed(list(enumerate(records)),
+                         lambda i: f"{annotations_path}: annotations[{i}]",
+                         "question_id", _ID, "multiple_choice_answer", _STR)
+    questions = _records(_read_json(questions_path), "questions", questions_path,
+                         _VQA_QUESTION_FIELDS, lambda qid, image_id, text, choices:
+                         Question(qid, image_id, text, answers.get(qid), choices))
     # dict.fromkeys keeps first-appearance order and runs in linear time
     images = [ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions)]
     return _validate_manifest(images, questions)
 
 
-def _keyed_lines(path: str | Path, key: str, key_kind: tuple, value: str,
-                 value_kind: tuple) -> dict:
-    """``key`` -> ``value`` over the objects of a JSONL file, one per line;
-    a key on two lines is a ParseError."""
-    table = {}
-    for lineno, record in _read_json(path, lines=True):
-        context = f"{path}:{lineno}"
-        k = _field(record, key, key_kind, context)
-        if k in table:
-            raise ParseError(f"{context}: repeated {key} {k!r}")
-        table[k] = _field(record, value, value_kind, context)
-    return table
-
-
 def load_predictions(path: str | Path) -> dict[str | int, str]:
     """Question id -> answer from a predictions JSONL file, one
     {question_id, answer} object per line."""
-    return _keyed_lines(path, "question_id", _ID, "answer", _STR)
+    return _keyed(_read_json(path, lines=True), lambda n: f"{path}:{n}",
+                  "question_id", _ID, "answer", _STR)
 
 
 def load_labels(path: str | Path) -> dict[int, list[str]]:
     """Image id -> labels from an extracted-labels JSONL file, one
     {image_id, labels} object per line."""
-    return _keyed_lines(path, "image_id", _INT, "labels", _STRINGS)
+    return _keyed(_read_json(path, lines=True), lambda n: f"{path}:{n}",
+                  "image_id", _INT, "labels", _STRINGS)
 
 
 def questions_by_image(manifest: DatasetManifest) -> dict[int, list[Question]]:

@@ -4,13 +4,15 @@ answer-type accuracy breakdown, and bootstrap confidence intervals."""
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DimMismatch, EmptyAnswer, EmptyVector, LengthMismatch
 from .qparse import LabelSet
 
-if TYPE_CHECKING:  # answer matching runs without numpy; the array statistics import it
+if TYPE_CHECKING:  # answer matching and per-class P/R need no numpy; the array statistics import it
     import numpy as np
 
 __all__ = [
@@ -48,31 +50,33 @@ def per_class_pr(predicted: Sequence[LabelSet], truth: Sequence[LabelSet]) -> Pr
     """Precision and recall per class over aligned image label sets.
 
     Classes never predicted get precision 0; classes with zero support get
-    recall 0.  The means are unweighted over every class in the vocabulary.
+    recall 0.  The means are unweighted over every class in the vocabulary:
+    a correctly rounded sum (``math.fsum``) divided by the number of classes.
     """
-    import numpy as np
     if len(predicted) != len(truth):
         raise LengthMismatch(f"{len(predicted)} predictions vs {len(truth)} truths")
     if not predicted:
         raise LengthMismatch("need at least one image")
     classes = predicted[0].classes
+    if not classes:
+        raise LengthMismatch("need at least one class")
     for ls in list(predicted) + list(truth):
         if ls.classes != classes:
             raise LengthMismatch("label sets use different class vocabularies")
 
-    column = {c: j for j, c in enumerate(classes)}
-    p, t = (np.zeros((len(predicted), len(classes)), dtype=bool) for _ in range(2))
-    for rows, sets in ((p, predicted), (t, truth)):
-        rows[[r for r, ls in enumerate(sets) for _ in ls.present],
-             [column[c] for ls in sets for c in ls.present]] = True
-    tps, fps, fns = ((a & b).sum(axis=0).tolist() for a, b in ((p, t), (p, ~t), (t, ~p)))
+    tps, fps, fns = Counter(), Counter(), Counter()
+    for p, t in zip(predicted, truth):
+        tps.update(p.present & t.present)
+        fps.update(p.present - t.present)
+        fns.update(t.present - p.present)
     per_class = {}
-    for cls, tp, fp, fn in zip(classes, tps, fps, fns):
+    for cls in classes:
+        tp, fp, fn = tps[cls], fps[cls], fns[cls]
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         per_class[cls] = ClassPR(precision, recall, tp + fn)
-    mean_p = float(np.mean([c.precision for c in per_class.values()]))
-    mean_r = float(np.mean([c.recall for c in per_class.values()]))
+    mean_p = math.fsum(c.precision for c in per_class.values()) / len(per_class)
+    mean_r = math.fsum(c.recall for c in per_class.values()) / len(per_class)
     return PrReport(per_class, mean_p, mean_r)
 
 

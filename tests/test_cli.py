@@ -316,6 +316,18 @@ def _labels_outside_vocabulary(base):
             "--dataset", str(base / "gt.json"), "--out-prefix", str(base / "pr")]
 
 
+def _empty_object_vocabulary(base):
+    (base / "gt.json").write_text(json.dumps({
+        "images": [{"image_id": 1, "gt_labels": []}],
+        "questions": [{"id": "q1", "image_id": 1, "text": "What color is the bus?"}],
+    }))
+    (base / "labels.jsonl").write_text(json.dumps({"image_id": 1, "labels": []}) + "\n")
+    (base / "no_classes.txt").write_text("# no classes\n")
+    return ["eval", "--task", "extraction", "--labels", str(base / "labels.jsonl"),
+            "--dataset", str(base / "gt.json"), "--vocab", str(base / "no_classes.txt"),
+            "--out-prefix", str(base / "pr")]
+
+
 def _manifest_with(base, image=None, question=None):
     """A one-question manifest whose image and question records gain the given fields."""
     (base / "odd.json").write_text(json.dumps({
@@ -496,6 +508,7 @@ CONTRACT_CASES = {
         lambda b: ["eval", "--task", "extraction", "--dataset", str(b / "data.json"),
                    "--out-prefix", str(b / "r")], 1),
     "eval_extraction_label_outside_vocabulary": (_labels_outside_vocabulary, 2),
+    "eval_extraction_empty_object_vocabulary": (_empty_object_vocabulary, 2),
     "train_config_sets_momentum": (_config_with_momentum, 2),
     "augment_list_question_id": (
         lambda b: ["augment", "--in", str(_manifest_with(b, question={"id": [1]})),

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsup.dataio import (
     DatasetManifest,
@@ -27,7 +29,7 @@ from qsup.errors import (
     VersionMismatch,
 )
 from qsup.model import LinearModel, predict
-from qsup.qparse import Question
+from qsup.qparse import Question, write_json
 from qsup.vocab import Vocabulary
 
 
@@ -423,3 +425,89 @@ def test_run_config_ignores_table_paths(tmp_path):
     cfg_path.write_text(json.dumps({"dataset": "data.json", "features": "feats.qvft", "seed": 7,
                                     "types": "absent.txt", "object_vocab": "absent.txt"}))
     assert load_run_config(cfg_path).dataset == tmp_path / "data.json"
+
+
+@pytest.mark.parametrize("annotations, message", [
+    ([("red", 1), ("blue", 1)], "annotations[1]: repeated question_id 1"),
+    ([("red", 1), ("blue", 1), (3, 1)], "annotations[1]: repeated question_id 1"),
+    ([("red", 1), (3, 2), ("blue", 1)],
+     "annotations[1]: field 'multiple_choice_answer' must be a string"),
+    ([("red", "q1"), ("blue", "q1")], "annotations[1]: repeated question_id 'q1'"),
+])
+def test_vqa_adapter_rejects_a_repeated_annotation(tmp_path, annotations, message):
+    q_path = tmp_path / "questions.json"
+    a_path = tmp_path / "annotations.json"
+    q_path.write_text(json.dumps({"questions": [
+        {"question_id": 1, "image_id": 5, "question": "What color is it?"}
+    ]}))
+    a_path.write_text(json.dumps({"annotations": [
+        {"question_id": qid, "multiple_choice_answer": answer} for answer, qid in annotations
+    ]}))
+    with pytest.raises(ParseError) as excinfo:
+        load_vqa_dataset(q_path, a_path)
+    assert str(excinfo.value) == f"{a_path}: {message}"
+
+
+# quotes, backslashes, control, line-separator, non-ASCII and astral characters, then any
+_CHARS = st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\u00e9\U0001f600'), st.characters())
+_TEXTS = st.text(_CHARS, max_size=6)
+_STRING_LISTS = st.lists(_TEXTS, max_size=3)
+
+
+@st.composite
+def _manifests(draw):
+    image_ids = draw(st.lists(st.integers(0, 2**70), unique=True, max_size=4))
+    images = tuple(
+        ImageEntry(i, draw(st.integers(0, 2**70)), draw(st.none() | _STRING_LISTS.map(tuple)))
+        for i in image_ids)
+    ids = st.one_of(st.integers(-2**70, 2**70), _TEXTS)
+    questions = []
+    for qid in draw(st.lists(ids, unique=True, max_size=5)) if image_ids else []:
+        answer = draw(st.none() | _TEXTS)
+        choices = draw(st.none() | _STRING_LISTS)
+        if answer is not None and choices is not None and answer not in choices:
+            choices.append(answer)
+        text = draw(st.text(_CHARS, min_size=1, max_size=8).filter(str.strip))
+        questions.append(Question(qid, draw(st.sampled_from(image_ids)), text, answer, choices))
+    return DatasetManifest(images, tuple(questions))
+
+
+def _reference_payload(manifest: DatasetManifest) -> dict:
+    """The manifest as the JSON payload whose ``write_json`` output is the
+    manifest format."""
+    return {
+        "images": [
+            {"image_id": e.image_id, "feature_ref": e.feature_ref,
+             **({"gt_labels": list(e.gt_labels)} if e.gt_labels is not None else {})}
+            for e in manifest.images
+        ],
+        "questions": [
+            {"id": q.id, "image_id": q.image_id, "text": q.text,
+             **({"answer": q.answer} if q.answer is not None else {}),
+             **({"choices": list(q.choices)} if q.choices is not None else {})}
+            for q in manifest.questions
+        ],
+    }
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=_manifests())
+def test_save_dataset_writes_the_reference_bytes_and_reads_back(tmp_path, manifest):
+    save_dataset(manifest, tmp_path / "saved.json")
+    write_json(tmp_path / "reference.json", _reference_payload(manifest))
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert load_dataset(tmp_path / "saved.json") == manifest
+
+
+@pytest.mark.parametrize("manifest", [
+    DatasetManifest((), ()),
+    DatasetManifest((ImageEntry(0, 0, ()),), ()),
+    DatasetManifest((ImageEntry(2**64, 3, ("a", "\U0001f600")),),
+                    (Question(-1, 2**64, " \\\"\x00 ", None, ()),
+                     Question("\u2028", 2**64, "t", "a", ("a",)))),
+])
+def test_save_dataset_edge_cases(tmp_path, manifest):
+    save_dataset(manifest, tmp_path / "saved.json")
+    write_json(tmp_path / "reference.json", _reference_payload(manifest))
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert load_dataset(tmp_path / "saved.json") == manifest

@@ -88,6 +88,11 @@ class TestPerClassPr:
         with pytest.raises(LengthMismatch):
             per_class_pr([labels()], [labels(), labels()])
 
+    def test_an_empty_class_vocabulary_has_no_mean(self):
+        nothing = LabelSet(frozenset(), ())
+        with pytest.raises(LengthMismatch, match="need at least one class"):
+            per_class_pr([nothing], [nothing])
+
 
 class TestFuseMax:
     def test_zero_question_vector_keeps_scores(self):
