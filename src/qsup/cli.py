@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 # augment, model, vocab and evalstats are imported by the commands that run them,
@@ -94,13 +95,15 @@ def _cmd_extract(args) -> int:
     obj_vocab, types = _load_tables(args)
     manifest = dataio.load_dataset(args.questions)
     grouped = dataio.questions_by_image(manifest)
-    label_sets = (
-        qparse.extract_objects_multi(grouped[e.image_id], obj_vocab, types, args.adjective_filter)
+    labels = (
+        (e.image_id, qparse.extract_objects_multi(grouped[e.image_id], obj_vocab, types,
+                                                  args.adjective_filter).present)
         for e in manifest.images
     )
+    # each line as json.dumps gives {image_id, labels}, from C-encoded strings
     write_lines(args.out, (
-        json.dumps({"image_id": e.image_id, "labels": sorted(labels.present)})
-        for e, labels in zip(manifest.images, label_sets)
+        f'{{"image_id": {image_id}, "labels": [{", ".join(map(_encode, sorted(present)))}]}}'
+        for image_id, present in labels
     ))
     _write_snapshot(Path(args.out).parent, "extract", _args_snapshot(args))
     return 0

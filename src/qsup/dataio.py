@@ -149,14 +149,15 @@ def _columns_pass(records: list, fields: tuple) -> bool:
     return True
 
 
-def _records(payload: dict, key: str, context, fields: tuple, build) -> list:
+def _records(payload: dict, key: str, context, fields: tuple, build, closed: bool = False) -> list:
     """``build(*values)`` for each object in the list ``payload[key]``, with
-    the values of ``fields`` (absent optional ones None).  Only when a column
+    the values of ``fields`` (absent optional ones None); if ``closed``, a
+    key outside ``fields`` is a fault too.  Only when a column check, the key
     check or a build fails are the records walked with ``_field``, so the
     first fault in record-then-field order raises."""
     records = _field(payload, key, _LIST, context, [])
-    if _columns_pass(records, fields):
-        keys = [k for k, _, _ in fields]
+    keys = [k for k, _, _ in fields]
+    if _columns_pass(records, fields) and not (closed and set().union(*records).difference(keys)):
         try:
             return [build(*map(record.get, keys)) for record in records]
         except ValueError:
@@ -168,6 +169,9 @@ def _records(payload: dict, key: str, context, fields: tuple, build) -> list:
             raise ParseError(f"{where}: expected an object")
         values = [_field(record, k, kind, where, None if optional else _REQUIRED)
                   for k, kind, optional in fields]
+        unknown = [k for k in record if k not in keys] if closed else []
+        if unknown:
+            raise ParseError(f"{where}: unknown field {unknown[0]!r}")
         try:
             built.append(build(*values))
         except ValueError as exc:
@@ -225,14 +229,15 @@ def _validate_manifest(images: list[ImageEntry], questions: list[Question]) -> D
 
 
 def load_dataset(path: str | Path) -> DatasetManifest:
-    """Read and validate a dataset manifest (native JSON layout)."""
+    """Read and validate a dataset manifest (native JSON layout); a record
+    key outside ``_IMAGE_FIELDS``/``_QUESTION_FIELDS`` is a ParseError."""
     payload = _read_json(path)
     images = _records(payload, "images", path, _IMAGE_FIELDS,
                       lambda i, gt, ref: ImageEntry(i, i if ref is None else ref,
-                                                    None if gt is None else tuple(gt)))
+                                                    None if gt is None else tuple(gt)), True)
     questions = _records(payload, "questions", path, _QUESTION_FIELDS,
                          lambda qid, image_id, text, choices, answer:
-                         Question(qid, image_id, text, answer, choices))
+                         Question(qid, image_id, text, answer, choices), True)
     return _validate_manifest(images, questions)
 
 
@@ -274,7 +279,8 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
 
     ``questions_path`` holds {"questions": [{question_id, image_id, question,
     multiple_choices?}]}; the optional annotations file holds
-    {"annotations": [{question_id, multiple_choice_answer}]}, one per question.
+    {"annotations": [{question_id, multiple_choice_answer}]}, at most one per
+    question and each naming one.  Records may carry keys not read here.
     """
     answers: dict = {}
     if annotations_path is not None:
@@ -287,7 +293,14 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
                          Question(qid, image_id, text, answers.get(qid), choices))
     # dict.fromkeys keeps first-appearance order and runs in linear time
     images = [ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions)]
-    return _validate_manifest(images, questions)
+    manifest = _validate_manifest(images, questions)
+    dangling = answers.keys() - (q.id for q in questions)
+    if dangling:
+        i, qid = next((i, r["question_id"]) for i, r in enumerate(records)
+                      if r["question_id"] in dangling)
+        raise ParseError(f"{annotations_path}: annotations[{i}]: question_id {qid!r} "
+                         "names no question")
+    return manifest
 
 
 def load_predictions(path: str | Path) -> dict[str | int, str]:

@@ -1,11 +1,12 @@
 """Rule-based extraction of object-class labels from visual questions.
 
-A question is tokenized once (one precompiled regex drops every character
-that is neither alphanumeric, whitespace nor "-") and gets a type
-(confirmed / unconfirmed) by longest-prefix match against a fixed table of
-question-type phrases, one dict lookup per phrase length.  Confirmed
-questions are then scanned for the 80 target object classes over lemmas
-from a bounded per-process cache: multi-word classes and multi-word
+A question is tokenized once (``bytes.translate`` drops every ASCII
+character that is neither alphanumeric, whitespace nor "-"; other text goes
+through one precompiled regex) and gets a type (confirmed / unconfirmed) by
+longest-prefix match against a fixed table of question-type phrases, one
+dict lookup per length of a phrase that starts with its first token.
+Confirmed questions are then scanned for the 80 target object classes over
+lemmas from a bounded per-process cache: multi-word classes and multi-word
 synonyms match as exact-order n-grams, single words match against names,
 synonyms and super-category members, and a matched phrase class suppresses
 its colliding one-word class so that "teddy bear" never also signals "bear".
@@ -79,13 +80,19 @@ class QuestionType(enum.Enum):
 
 
 _DROPPED_CHARS = re.compile(r"[^\w\s-]|_")  # "_" is a regex word character, not alphanumeric
+_ASCII_DROPPED = bytes(c for c in range(128) if _DROPPED_CHARS.match(chr(c)))  # for translate
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens: a character is kept if ``str.isalnum()`` or "-", splits
     tokens if ``str.isspace()`` and is dropped otherwise; "-" is then stripped
     from each token's ends, so intra-word hyphens survive."""
-    words = _DROPPED_CHARS.sub("", text.lower()).split()
+    if text.isascii():
+        words = text.lower().encode().translate(None, _ASCII_DROPPED).decode().split()
+        if "-" not in text:
+            return words
+    else:
+        words = _DROPPED_CHARS.sub("", text.lower()).split()
     return [tok for tok in (w.strip("-") for w in words) if tok]
 
 
@@ -163,9 +170,9 @@ class QuestionTypeTable:
 
     confirmed: tuple[str, ...]
     unconfirmed: tuple[str, ...]
-    # token tuple -> type, and the distinct tuple lengths longest-first.
+    # token tuple -> type; first token -> the lengths of the tuples it starts, longest first
     _prefixes: dict[tuple[str, ...], QuestionType] = field(init=False, repr=False, compare=False)
-    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _lengths: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Phrases that split to the same tokens ("what is", "what  is") share
@@ -180,8 +187,10 @@ class QuestionTypeTable:
         if overlap:
             raise ValueError(f"phrases in both lists: {sorted(overlap)}")
         object.__setattr__(self, "_prefixes", prefixes)
-        lengths = sorted({len(p) for p in prefixes}, reverse=True)
-        object.__setattr__(self, "_lengths", tuple(lengths))
+        lengths: dict[str, set[int]] = {}
+        for key in filter(None, prefixes):
+            lengths.setdefault(key[0], set()).add(len(key))
+        object.__setattr__(self, "_lengths", {w: sorted(ns)[::-1] for w, ns in lengths.items()})
 
 
 def classify_question_type(question: Question, table: QuestionTypeTable) -> QuestionType:
@@ -190,12 +199,14 @@ def classify_question_type(question: Question, table: QuestionTypeTable) -> Ques
 
 
 def _question_type(tokens: list[str], table: QuestionTypeTable) -> QuestionType:
-    for n in table._lengths:
-        if n <= len(tokens):
-            qtype = table._prefixes.get(tuple(tokens[:n]))
-            if qtype is not None:
-                return qtype
-    return QuestionType.UNCONFIRMED
+    if tokens:
+        for n in table._lengths.get(tokens[0], ()):
+            if n <= len(tokens):
+                qtype = table._prefixes.get(tuple(tokens[:n]))
+                if qtype is not None:
+                    return qtype
+    # only the empty phrase, which splits to no tokens, prefixes every question
+    return table._prefixes.get((), QuestionType.UNCONFIRMED)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,8 @@ class ObjectVocabulary:
     ``class_names`` fixes the canonical order of label vectors.  Matching
     tables are keyed by lemmatized token tuples: ``phrase_map`` holds every
     multi-word term (names, synonyms, subterms), ``word_map`` every
-    single-word term, ``phrase_starts`` the first lemma of every phrase.
+    single-word term, ``phrase_starts`` the first lemma of every phrase,
+    ``collisions`` the exclusivity set of each class that declares one.
     """
 
     def __init__(self, classes: Sequence[ObjectClass]):
@@ -259,6 +271,7 @@ class ObjectVocabulary:
                     )
         self.max_phrase_len = max((len(k) for k in self.phrase_map), default=1)
         self.phrase_starts = frozenset(k[0] for k in self.phrase_map)
+        self.collisions = {c.name: c.collides for c in classes if c.collides}
 
 
 @dataclass(frozen=True)
@@ -315,38 +328,41 @@ def extract_objects(
         return LabelSet(frozenset(), vocab.class_names)
 
     lemmas = list(map(normalize_token, tokens))
-    found: set[str] = set()
-    consumed = [False] * len(lemmas)
+    word_map = vocab.word_map
+    if not adjective_filter and vocab.phrase_starts.isdisjoint(lemmas):
+        # no phrase can match and no word is skipped
+        found = {word_map[lemma] for lemma in lemmas if lemma in word_map}
+    else:
+        found = set()
+        consumed = [False] * len(lemmas)
+        starts = [i for i, lemma in enumerate(lemmas) if lemma in vocab.phrase_starts]
+        for n in range(min(vocab.max_phrase_len, len(lemmas)), 1, -1):
+            for i in starts:
+                if i + n > len(lemmas) or any(consumed[i : i + n]):
+                    continue
+                cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
+                if cls_name is None:
+                    continue
+                found.add(cls_name)
+                consumed[i : i + n] = [True] * n
 
-    starts = [i for i, lemma in enumerate(lemmas) if lemma in vocab.phrase_starts]
-    for n in range(min(vocab.max_phrase_len, len(lemmas)), 1, -1):
-        for i in starts:
-            if i + n > len(lemmas) or any(consumed[i : i + n]):
+        for i, lemma in enumerate(lemmas):
+            if consumed[i]:
                 continue
-            cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
+            cls_name = word_map.get(lemma)
             if cls_name is None:
                 continue
+            if adjective_filter and i + 1 < len(lemmas):
+                nxt = lemmas[i + 1]
+                if not consumed[i + 1] and nxt not in _FUNCTION_WORDS and nxt != lemma:
+                    continue
             found.add(cls_name)
-            consumed[i : i + n] = [True] * n
-
-    for i, lemma in enumerate(lemmas):
-        if consumed[i]:
-            continue
-        cls_name = vocab.word_map.get(lemma)
-        if cls_name is None:
-            continue
-        if adjective_filter and i + 1 < len(lemmas):
-            nxt = lemmas[i + 1]
-            if not consumed[i + 1] and nxt not in _FUNCTION_WORDS and nxt != lemma:
-                continue
-        found.add(cls_name)
 
     # Exclusivity is question-wide: however a class matched, the classes it
     # collides with are dropped so the two never co-occur.
-    suppressed: set[str] = set()
-    for name in found:
-        suppressed |= vocab.classes[vocab.class_index[name]].collides
-    return LabelSet(frozenset(found - suppressed), vocab.class_names)
+    for name in found.intersection(vocab.collisions):
+        found -= vocab.collisions[name]
+    return LabelSet(frozenset(found), vocab.class_names)
 
 
 def extract_objects_multi(

@@ -96,6 +96,22 @@ class TestExtract:
         }
         assert (tmp_path / "extract.snapshot.json").exists()
 
+    def test_lines_are_json_dumps_bytes(self, tmp_path):
+        # class names that need escapes, a large image id and an image with no labels
+        (tmp_path / "objects.txt").write_text('cat\ncaf\u00e9\nsay "hi" \\ now\n',
+                                              encoding="utf-8")
+        (tmp_path / "data.json").write_text(json.dumps({
+            "images": [{"image_id": 2**70}, {"image_id": 0}],
+            "questions": [{"id": 1, "image_id": 2**70, "text": "What cat, caf\u00e9, say hi now?"},
+                          {"id": 2, "image_id": 0, "text": "What is it?"}],
+        }))
+        assert main(["extract", "--questions", str(tmp_path / "data.json"),
+                     "--vocab", str(tmp_path / "objects.txt"),
+                     "--out", str(tmp_path / "labels.jsonl")]) == 0
+        assert (tmp_path / "labels.jsonl").read_bytes() == "".join(
+            json.dumps({"image_id": image_id, "labels": labels}) + "\n" for image_id, labels in
+            [(2**70, ["caf\u00e9", "cat", 'say "hi" \\ now']), (0, [])]).encode()
+
 
 class TestAugment:
     def test_powerset_counts(self, tmp_path):
@@ -510,6 +526,10 @@ CONTRACT_CASES = {
     "eval_extraction_label_outside_vocabulary": (_labels_outside_vocabulary, 2),
     "eval_extraction_empty_object_vocabulary": (_empty_object_vocabulary, 2),
     "train_config_sets_momentum": (_config_with_momentum, 2),
+    "augment_misspelled_answer_field": (
+        lambda b: ["augment", "--in", str(_manifest_with(b, question={"answer": None,
+                                                                       "anwser": "red"})),
+                   "--out", str(b / "e.jsonl")], 2),
     "augment_list_question_id": (
         lambda b: ["augment", "--in", str(_manifest_with(b, question={"id": [1]})),
                    "--out", str(b / "e.jsonl")], 2),
@@ -718,9 +738,10 @@ def _mutate(payload: dict, rng) -> str:
 
 
 def test_seeded_manifest_mutations_keep_the_cli_contract(tmp_path, capsys):
-    """50 seeded mutations of a small demo manifest, each run through every
+    """100 seeded mutations of a small demo manifest, each run through every
     command that reads a manifest: each run exits 0, 1 or 2, a failure with
-    one error line, and no run raises (a command missing an import would)."""
+    one error line, and no run raises (a command missing an import would).
+    A field of the other record type is an unknown field, and an error."""
     records, features = make_pair_dataset(20, seed=7)
     save_dataset(records_to_manifest(records), tmp_path / "demo.json")
     save_features(features, tmp_path / "f.qvft")
@@ -748,7 +769,7 @@ def test_seeded_manifest_mutations_keep_the_cli_contract(tmp_path, capsys):
     ]
     codes = Counter()
     capsys.readouterr()
-    for seed in range(50):
+    for seed in range(100):
         rng = random.Random(seed)
         payload = json.loads((tmp_path / "demo.json").read_text())
         what = "; ".join(_mutate(payload, rng) for _ in range(rng.randint(1, 3)))

@@ -433,6 +433,8 @@ def test_run_config_ignores_table_paths(tmp_path):
     ([("red", 1), (3, 2), ("blue", 1)],
      "annotations[1]: field 'multiple_choice_answer' must be a string"),
     ([("red", "q1"), ("blue", "q1")], "annotations[1]: repeated question_id 'q1'"),
+    ([("red", 1), ("blue", 99)], "annotations[1]: question_id 99 names no question"),
+    ([("red", "1")], "annotations[0]: question_id '1' names no question"),
 ])
 def test_vqa_adapter_rejects_a_repeated_annotation(tmp_path, annotations, message):
     q_path = tmp_path / "questions.json"

@@ -189,6 +189,11 @@ class TestExtractObjectsMulti:
             "bus",
         }
 
+    def test_whitespace_text_raises(self, obj_vocab, type_table):
+        with pytest.raises(MalformedQuestion):
+            extract_objects_multi([q("What color is the bus?", qid="a"), q(" \t", qid="b")],
+                                  obj_vocab, type_table)
+
     def test_mixed_images(self, obj_vocab, type_table):
         with pytest.raises(MixedImages):
             extract_objects_multi(
@@ -326,6 +331,19 @@ class TestTokenizeMatchesPerCharacterReference:
         text = "a" + "a".join(map(chr, range(0x110000))) + "a"
         assert tokenize(text) == per_character_tokenize(text)
 
+    def test_every_ascii_code_point(self):
+        text = "a" + "a".join(map(chr, range(0x80))) + "a"
+        assert text.isascii() and tokenize(text) == per_character_tokenize(text)
+
+    @settings(max_examples=200)
+    @given(text=st.text(alphabet=st.one_of(st.sampled_from("_-\x1c\x1d\x1e\x1f\x7f \t.?'"),
+                                           st.characters(max_codepoint=0x7F)), max_size=40),
+           hyphens=st.booleans())
+    def test_random_ascii_text(self, text, hyphens):
+        text = text if hyphens else text.replace("-", "")
+        assert text.isascii()
+        assert tokenize(text) == per_character_tokenize(text)
+
 
 def linear_scan_question_type(tokens, table):
     # The longest-first scan over every table phrase that the dict lookup replaced.
@@ -364,6 +382,15 @@ class TestPrefixLookupMatchesLinearScan:
         words = sorted({w for p in phrases for w in p.split()})
         tokens = data.draw(st.lists(st.sampled_from(words + ["zebra", "the"]), max_size=8))
         self._check(type_table, tokens)
+
+    @given(tokens=st.lists(st.sampled_from(["what", "is", "the", "dog", "how"]), max_size=6))
+    @pytest.mark.parametrize("table", [
+        QuestionTypeTable(confirmed=("what", "what is the", "is the dog"),
+                          unconfirmed=("what is", "is", "what is the dog", "how")),
+        QuestionTypeTable(confirmed=("",), unconfirmed=("what", "what is")),
+    ], ids=["one_word_phrases_start_longer_ones", "empty_phrase"])
+    def test_phrases_sharing_a_first_token(self, table, tokens):
+        self._check(table, tokens)
 
     @pytest.mark.parametrize("table", _SPLIT_KEY_TABLES,
                              ids=["confirmed_first", "unconfirmed_first"])
@@ -425,6 +452,23 @@ def test_extraction_matches_full_scan_reference(obj_vocab, type_table, prefix, w
     question = q(f"{prefix} {' '.join(words)}?")
     present = extract_objects(question, obj_vocab, type_table, adjective_filter).present
     assert present == full_scan_extract(question, obj_vocab, type_table, adjective_filter)
+
+
+@settings(max_examples=100)
+@given(
+    questions=st.lists(st.tuples(
+        st.sampled_from(["What color is the", "How many", "Is there a", "Is it", "What is",
+                         "Why is the"]),
+        st.lists(st.sampled_from(_PHRASE_SOUP), min_size=1, max_size=6)), max_size=5),
+    adjective_filter=st.booleans(),
+)
+def test_image_extraction_is_the_union_of_full_scans(obj_vocab, type_table, questions,
+                                                      adjective_filter):
+    image = [q(f"{prefix} {' '.join(words)}?", qid=i) for i, (prefix, words) in enumerate(questions)]
+    expected = set().union(*(full_scan_extract(x, obj_vocab, type_table, adjective_filter)
+                             for x in image))
+    assert extract_objects_multi(image, obj_vocab, type_table, adjective_filter).present \
+        == expected
 
 
 def test_a_pass_never_matches_a_window_cut_short_by_the_question_end():
