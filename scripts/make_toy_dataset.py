@@ -8,11 +8,15 @@ Gives the CLI walkthrough in the README something to chew on:
 """
 
 import argparse
+import random
 from pathlib import Path
 
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
-from qsup.qparse import write_json
+from qsup.qparse import Question, default_object_vocabulary, write_json
 from qsup.synth import make_pair_dataset
+
+# confirmed question types that a one-word class name can end
+PREFIXES = ("what color is the", "where is the", "what kind of", "what type of")
 
 
 def main():
@@ -26,12 +30,18 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     records, features = make_pair_dataset(args.images, seed=args.seed)
-    # the synthetic images show no object of the default vocabulary, so every
-    # image lists empty gt_labels; they give `qsup eval --task extraction` its images
-    manifest = DatasetManifest(
-        images=tuple(ImageEntry(r.image_id, r.image_id, ()) for r in records),
-        questions=tuple(q for r in records for q in r.all_questions),
-    )
+    # Each image gains one unanswered question that names a one-word class of
+    # the packaged vocabulary, its only ground-truth label, so that
+    # `qsup eval --task extraction` scores real matches.
+    rng = random.Random(args.seed)
+    classes = [name for name in default_object_vocabulary().class_names if " " not in name]
+    images, questions = [], []
+    for r in records:
+        name = rng.choice(classes)
+        images.append(ImageEntry(r.image_id, r.image_id, (name,)))
+        questions += [*r.all_questions,
+                      Question(f"c{r.image_id}", r.image_id, f"{rng.choice(PREFIXES)} {name}?")]
+    manifest = DatasetManifest(tuple(images), tuple(questions))
     save_dataset(manifest, out / "data.json")
     save_features(features, out / "features.qvft")
 

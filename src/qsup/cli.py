@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import logging
-import os
 import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _encode
@@ -366,8 +365,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("train", help="train a model from a run config")
-    p.add_argument("--config", default=os.environ.get("QSUP_CONFIG"),
-                   help="run configuration (JSON); defaults to $QSUP_CONFIG")
+    p.add_argument("--config", required=True, help="run configuration (JSON)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="answer questions with a trained model")
@@ -431,8 +429,6 @@ def _flag_combination_error(args: argparse.Namespace) -> str | None:
             return "simulate: give exactly one of --keep / --fraction"
         if args.fraction is not None and args.out_rest is None:
             return "simulate: --fraction needs --out-rest"
-    if args.command == "train" and not args.config:
-        return "train: needs --config or $QSUP_CONFIG"
     ignored = ()  # flags that the value of the mode flag --<mode> does not read
     if args.command == "eval":
         needed = {"vqa": "pred", "extraction": "labels"}[args.task]

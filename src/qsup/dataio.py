@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -153,8 +154,7 @@ def _records(payload: dict, key: str, context, fields: tuple, build, closed: boo
     """``build(*values)`` for each object in the list ``payload[key]``, with
     the values of ``fields`` (absent optional ones None); if ``closed``, a
     key outside ``fields`` is a fault too.  Only when a column check, the key
-    check or a build fails are the records walked with ``_field``, so the
-    first fault in record-then-field order raises."""
+    check or a build fails are the records walked by ``_walk``."""
     records = _field(payload, key, _LIST, context, [])
     keys = [k for k, _, _ in fields]
     if _columns_pass(records, fields) and not (closed and set().union(*records).difference(keys)):
@@ -162,43 +162,43 @@ def _records(payload: dict, key: str, context, fields: tuple, build, closed: boo
             return [build(*map(record.get, keys)) for record in records]
         except ValueError:
             pass  # an answer outside its choices: the walk names the record
-    built = []
-    for i, record in enumerate(records):
-        where = f"{context}: {key}[{i}]"
-        if not isinstance(record, dict):
-            raise ParseError(f"{where}: expected an object")
-        values = [_field(record, k, kind, where, None if optional else _REQUIRED)
-                  for k, kind, optional in fields]
-        unknown = [k for k in record if k not in keys] if closed else []
-        if unknown:
-            raise ParseError(f"{where}: unknown field {unknown[0]!r}")
-        try:
-            built.append(build(*values))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    return built
+    return _walk(enumerate(records), lambda i: f"{context}: {key}[{i}]", fields, build, closed)
 
 
 def _keyed(numbered: list, where, key: str, key_kind: tuple, value: str, value_kind: tuple) -> dict:
     """``key`` -> ``value`` over the (number, record) pairs ``numbered``, a
     key in two records being a ParseError.  Only when a column check fails or
-    a key repeats are the records walked, each named ``where(number)``, so
-    the first fault in record order raises."""
+    a key repeats are the records walked by ``_walk``."""
     records = [record for _, record in numbered]
-    if _columns_pass(records, ((key, key_kind, False), (value, value_kind, False))):
+    if _columns_pass(records, fields := ((key, key_kind, False), (value, value_kind, False))):
         table = dict(map(itemgetter(key, value), records))
         if len(table) == len(records):
             return table
-    table = {}
+    return dict(_walk(numbered, where, fields, lambda *pair: pair, unique=key))
+
+
+def _walk(numbered, where, fields: tuple, build, closed: bool = False, unique=None) -> list:
+    """``build(*values)`` for each (number, record) pair, checking the record
+    named ``where(number)`` field by field as ``_records`` describes, so the
+    first fault raises; a value of the field ``unique`` seen before is one too."""
+    built, first, keys = [], {}, [k for k, _, _ in fields]  # first: value -> its first record
     for number, record in numbered:
         context = where(number)
         if not isinstance(record, dict):
             raise ParseError(f"{context}: expected an object")
-        k = _field(record, key, key_kind, context)
-        if k in table:
-            raise ParseError(f"{context}: repeated {key} {k!r}")
-        table[k] = _field(record, value, value_kind, context)
-    return table
+        values = []
+        for k, kind, optional in fields:
+            values.append(_field(record, k, kind, context, None if optional else _REQUIRED))
+            if k == unique and first.setdefault(values[-1], number) != number:
+                raise ParseError(f"{context}: repeated {k} {values[-1]!r}")
+        unknown = [k for k in record if k not in keys] if closed else []
+        if unknown:
+            raise ParseError(f"{context}: unknown field {unknown[0]!r}")
+        try:
+            built.append(build(*values))
+        except ValueError as exc:
+            raise ParseError(f"{context}: {exc}") from exc
+    return built
 
 
 # (key, kind, optional) fields in the order they are checked
@@ -347,13 +347,14 @@ def build_image_records(manifest: DatasetManifest) -> list[ImageRecord]:
 
 
 def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():  # before a buffer of ``size`` is made
         raise TruncatedFile(f"{fh.name}: file ended while reading {what}")
-    return data
+    return fh.read(size)
 
 
 def _check_header(fh: BinaryIO, magic: bytes) -> None:
+    if not fh.seekable():  # a pipe, say: _read_exact needs the bytes left
+        raise ParseError(f"{fh.name}: not a regular file")
     got = _read_exact(fh, 4, "magic")
     if got != magic:
         raise BadMagic(f"{fh.name}: expected magic {magic!r}, found {got!r}")
@@ -439,8 +440,7 @@ def load_model(path: str | Path) -> LinearModel:
             answers.append(_read_exact(fh, length, f"answer {i}"))
 
         def read_array(shape: tuple[int, ...], what: str) -> np.ndarray:
-            size = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 4 * size, what)
+            raw = _read_exact(fh, 4 * math.prod(shape), what)  # Python ints: no overflow
             return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
         embed_target = read_array((vocab_size, d_t), "target embedding")
@@ -501,6 +501,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ParseError(f"{path}: bad train section: {exc}") from exc
 
+    if payload.get("vocab") is not None and payload.get("min_count") is not None:
+        raise ParseError(f"{path}: min_count is not read with vocab")
     return RunConfig(
         dataset=resolve("dataset"),
         features=resolve("features"),

@@ -35,6 +35,10 @@ class NoAnswered(QsupError):
     """A training record has no answered questions to build exemplars from."""
 
 
+class TooManyExemplars(QsupError):
+    """An image would give more exemplars than one image may."""
+
+
 # -- model ------------------------------------------------------------------
 
 class DimMismatch(QsupError):

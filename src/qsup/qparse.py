@@ -327,36 +327,25 @@ def extract_objects(
     if _question_type(tokens, table) is QuestionType.UNCONFIRMED:
         return LabelSet(frozenset(), vocab.class_names)
 
-    lemmas = list(map(normalize_token, tokens))
-    word_map = vocab.word_map
-    if not adjective_filter and vocab.phrase_starts.isdisjoint(lemmas):
-        # no phrase can match and no word is skipped
-        found = {word_map[lemma] for lemma in lemmas if lemma in word_map}
-    else:
-        found = set()
-        consumed = [False] * len(lemmas)
+    lemmas: list[str | None] = list(map(normalize_token, tokens))
+    phrases = set()
+    if not vocab.phrase_starts.isdisjoint(lemmas):
+        # a matched phrase's lemmas become None, which no table holds
         starts = [i for i, lemma in enumerate(lemmas) if lemma in vocab.phrase_starts]
         for n in range(min(vocab.max_phrase_len, len(lemmas)), 1, -1):
             for i in starts:
-                if i + n > len(lemmas) or any(consumed[i : i + n]):
-                    continue
-                cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
-                if cls_name is None:
-                    continue
-                found.add(cls_name)
-                consumed[i : i + n] = [True] * n
-
-        for i, lemma in enumerate(lemmas):
-            if consumed[i]:
-                continue
-            cls_name = word_map.get(lemma)
-            if cls_name is None:
-                continue
-            if adjective_filter and i + 1 < len(lemmas):
-                nxt = lemmas[i + 1]
-                if not consumed[i + 1] and nxt not in _FUNCTION_WORDS and nxt != lemma:
-                    continue
-            found.add(cls_name)
+                if i + n <= len(lemmas):
+                    cls_name = vocab.phrase_map.get(tuple(lemmas[i : i + n]))
+                    if cls_name is not None:
+                        phrases.add(cls_name)
+                        lemmas[i : i + n] = [None] * n
+    word_map = vocab.word_map
+    if adjective_filter:  # kept before a matched phrase, the end, a function word or itself
+        found = {word_map[lemma] for lemma, nxt in zip(lemmas, lemmas[1:] + [None])
+                 if lemma in word_map and (nxt is None or nxt in _FUNCTION_WORDS or nxt == lemma)}
+    else:
+        found = {word_map[lemma] for lemma in lemmas if lemma in word_map}
+    found |= phrases
 
     # Exclusivity is question-wide: however a class matched, the classes it
     # collides with are dropped so the two never co-occur.

@@ -15,7 +15,7 @@ from qsup.augment import (
     simulate_answered_fraction,
     simulate_unanswered,
 )
-from qsup.errors import NoAnswered, UnknownMode
+from qsup.errors import NoAnswered, TooManyExemplars, UnknownMode
 from qsup.qparse import Question
 
 
@@ -87,6 +87,17 @@ class TestGenerateExemplars:
             frozenset({"a0"}),
             frozenset({"u0"}),
         ]
+
+    @pytest.mark.parametrize("mode", ["powerset", "powerset_no_empty"])
+    def test_an_image_past_the_exemplar_limit_is_refused_before_any_row(self, mode):
+        # one answered of 21 questions: 2**21 exemplars (2**21 - 1 without the empty subset)
+        record = make_record(1, 20)
+        assert augment.MAX_IMAGE_EXEMPLARS == 2**20
+        with pytest.raises(TooManyExemplars, match=r"image 1: 1 answered of 21 questions give"):
+            generate_exemplars(record, mode)  # raised on the call, not at the first row
+        with pytest.raises(TooManyExemplars, match=r"more than the limit of 1048576"):
+            exemplar_rows([make_record(1, 2, image_id=2), record], mode)
+        assert len(exemplar_rows([record], "concat_only").targets) == 1
 
     @given(m=st.integers(1, 3), n=st.integers(0, 4))
     @settings(max_examples=25)

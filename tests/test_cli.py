@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -461,6 +462,21 @@ def _predict_with_wide_features(base):
     return argv
 
 
+def _declaring(at, *values):
+    """A binary file's bytes with the u32 header fields from byte ``at`` on
+    declaring ``values``, a payload far past the file's end."""
+    return lambda raw: raw[:at] + struct.pack(f"<{len(values)}I", *values) + raw[at + 4 * len(values):]
+
+
+def _many_questions_manifest(base):
+    """A manifest of one image with 40 questions, one of them answered; its name."""
+    questions = [{"id": i, "image_id": 1, "text": f"What is thing {i}?"} for i in range(40)]
+    questions[0]["answer"] = "red"
+    (base / "many.json").write_text(json.dumps({"images": [{"image_id": 1}],
+                                                "questions": questions}))
+    return "many.json"
+
+
 def _repeated_jsonl(base, record):
     (base / "odd.jsonl").write_text(2 * (json.dumps(record) + "\n"))
     return str(base / "odd.jsonl")
@@ -591,6 +607,21 @@ CONTRACT_CASES = {
     "predict_features_rows_past_count": (_predict_with_cut_file("--features", _undercount), 2),
     "predict_model_bytes_past_bias": (
         _predict_with_cut_file("--model", lambda raw: raw + b"\0\0\0\0"), 2),
+    # d_t 2**20 and vocab_size 2**16: a 256 GiB target embedding
+    "predict_model_embedding_past_file_end": (
+        _predict_with_cut_file("--model", _declaring(12, 2**20, 1, 2, 2**16)), 2),
+    # every dim but n_answers at 2**32 - 1: a byte count past the int64 range
+    "predict_model_dims_at_u32_max": (
+        _predict_with_cut_file("--model", _declaring(8, *[2**32 - 1] * 3, 2, 2**32 - 1)), 2),
+    "predict_features_dim_past_file_end": (
+        _predict_with_cut_file("--features", _declaring(12, 2**32 - 1)), 2),
+    "train_powerset_image_past_the_limit": (
+        lambda b: _run_config_with(b, dataset=_many_questions_manifest(b)), 2),
+    "augment_powerset_image_past_the_limit": (
+        lambda b: ["augment", "--in", str(b / _many_questions_manifest(b)),
+                   "--out", str(b / "e.jsonl")], 2),
+    "train_config_min_count_with_vocab": (
+        lambda b: _run_config_with(b, vocab=_bytes_file(b, "v.txt", b"what\n"), min_count=2), 2),
     "train_image_without_features": (
         lambda b: _run_config_with(b, features=_features_without(b, 59)), 2),
     "predict_image_without_features": (_predict_without_features_of(59), 2),
@@ -625,7 +656,10 @@ CONTRACT_CASES = {
                                         ("predict_truncated_features", "--features"),
                                         ("predict_features_wrong_magic", "--features"),
                                         ("predict_features_rows_past_count", "--features"),
-                                        ("predict_model_bytes_past_bias", "--model")])
+                                        ("predict_model_bytes_past_bias", "--model"),
+                                        ("predict_model_embedding_past_file_end", "--model"),
+                                        ("predict_model_dims_at_u32_max", "--model"),
+                                        ("predict_features_dim_past_file_end", "--features")])
 def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
     argv = CONTRACT_CASES[case][0](pair_setup)
     assert main(argv) == 2
@@ -672,6 +706,24 @@ def test_unread_flags_are_named_with_the_mode(case, message, pair_setup, capsys)
     assert main(CONTRACT_CASES[case][0](pair_setup)) == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not list(pair_setup.glob("*.snapshot.json"))
+
+
+@pytest.mark.parametrize("case", ["train_powerset_image_past_the_limit",
+                                  "augment_powerset_image_past_the_limit"])
+def test_a_powerset_image_past_the_limit_is_refused_at_once(case, pair_setup, capsys):
+    started = time.perf_counter()
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "qsup: error: image 1: 1 answered of 40 questions give 1099511627776 powerset exemplars, "
+        "more than the limit of 1048576; use mode plain or concat_only\n")
+    assert not (pair_setup / "out").exists()
+
+
+def test_min_count_next_to_vocab_names_the_config(pair_setup, capsys):
+    argv = CONTRACT_CASES["train_config_min_count_with_vocab"][0](pair_setup)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"qsup: error: {argv[-1]}: min_count is not read with vocab\n"
 
 
 def test_bootstrap_without_out_writes_its_snapshot_next_to_the_predictions(tmp_path, capsys):

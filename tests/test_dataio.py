@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -203,6 +204,16 @@ class TestFeatureFile:
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(BadMagic):
             load_features(path)
+
+    def test_a_pipe_is_refused_naming_it(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, struct.pack("<4sIII", b"QVFT", 1, 0, 4))
+        os.close(write_end)
+        try:
+            with pytest.raises(ParseError, match=f"^/dev/fd/{read_end}: not a regular file$"):
+                load_features(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_mixed_dims_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError):

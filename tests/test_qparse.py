@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsup import qparse as qparse_module
@@ -447,11 +447,26 @@ _PHRASE_SOUP = _SOUP + [
     words=st.lists(st.sampled_from(_PHRASE_SOUP), min_size=1, max_size=8),
     adjective_filter=st.booleans(),
 )
+# a class word before a phrase (kept under the filter) and before a one-word synonym (dropped)
+@example(prefix="What color is the", words=["cat", "cell", "phone"], adjective_filter=False)
+@example(prefix="What color is the", words=["cat", "cell", "phone"], adjective_filter=True)
+@example(prefix="What color is the", words=["cat", "phone"], adjective_filter=False)
+@example(prefix="What color is the", words=["cat", "phone"], adjective_filter=True)
 def test_extraction_matches_full_scan_reference(obj_vocab, type_table, prefix, words,
                                                 adjective_filter):
     question = q(f"{prefix} {' '.join(words)}?")
     present = extract_objects(question, obj_vocab, type_table, adjective_filter).present
     assert present == full_scan_extract(question, obj_vocab, type_table, adjective_filter)
+
+
+@pytest.mark.parametrize("text, adjective_filter, expected", [
+    ("What color is the cat cell phone", False, {"cat", "cell phone"}),
+    ("What color is the cat cell phone", True, {"cat", "cell phone"}),
+    ("What color is the cat phone", False, {"cat", "cell phone"}),
+    ("What color is the cat phone", True, {"cell phone"}),
+])
+def test_a_word_next_to_a_phrase(obj_vocab, type_table, text, adjective_filter, expected):
+    assert extract_objects(q(text), obj_vocab, type_table, adjective_filter).present == expected
 
 
 @settings(max_examples=100)
