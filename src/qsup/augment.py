@@ -3,11 +3,13 @@ augmentation, and the dataset simulations used in the experiments.
 
 An image's exemplars are enumerated as index arrays: each row is a target
 question plus extra questions selected by a mask, where bit b picks question
-b of ``answered + unanswered``.  ``exemplar_rows`` gives the rows of many
-images as one ``ExemplarRows`` without an object per exemplar, for training;
-``generate_exemplars`` streams the same rows of one image, a bounded number
-of rows at a time, as ``Exemplar`` objects or as whatever its ``make`` builds
-from a row's indices (``qsup augment`` builds each JSONL line).
+b of ``answered + unanswered``.  ``exemplar_rows`` gives the exemplars of
+many images as an ``ExemplarRows`` table with one entry per answered
+question, and its ``decode`` computes the questions of any rows from it, so
+training stores no row; ``generate_exemplars`` streams the same rows of one
+image, decoded a bounded number at a time, as ``Exemplar`` objects or as
+whatever its ``make`` builds from a row's indices (``qsup augment`` builds
+each JSONL line).
 """
 
 from __future__ import annotations
@@ -81,47 +83,86 @@ class Exemplar:
 
 
 _STREAM_ROWS = 4096  # exemplars enumerated at a time by generate_exemplars; bounds its memory
-MAX_IMAGE_EXEMPLARS = 1 << 20  # of one image; the largest measured (n=16, powerset) trains in 355 MiB
+MAX_IMAGE_EXEMPLARS = 1 << 20  # of one image; at the limit (n=16, powerset) train peaks at 48 MiB
 
 
-def _rows_per_target(n_total: int, mode: AugmentMode) -> int:
-    """Exemplars per answered question of an image with ``n_total`` questions."""
+def _rows_per_target(n_total, mode: AugmentMode):
+    """Exemplars per answered question of images with ``n_total`` questions (int or array)."""
     if mode in (AugmentMode.POWERSET, AugmentMode.POWERSET_NO_EMPTY):
         return 2**n_total - (mode is AugmentMode.POWERSET_NO_EMPTY)
-    return 1
+    return n_total**0  # 1, shaped as n_total
 
 
-def _exemplar_count(record: ImageRecord, mode: AugmentMode) -> int:
-    """The exemplars of ``record``; more than MAX_IMAGE_EXEMPLARS is TooManyExemplars."""
+def _exemplar_count(record: ImageRecord, mode: AugmentMode) -> None:
+    """TooManyExemplars if ``record`` gives more than MAX_IMAGE_EXEMPLARS exemplars."""
     m, n = len(record.answered), len(record.all_questions)
     total = m * _rows_per_target(n, mode)
     if total > MAX_IMAGE_EXEMPLARS:
         raise TooManyExemplars(
             f"image {record.image_id}: {m} answered of {n} questions give {total} {mode.value} "
             f"exemplars, more than the limit of {MAX_IMAGE_EXEMPLARS}; use mode plain or concat_only")
-    return total
 
 
-def _exemplar_rows(n_answered: int, n_total: int, mode: AugmentMode,
-                   lo: int = 0, hi: int | None = None):
-    """(targets, extra_ptr, extras) of exemplars ``lo:hi`` of one image, in
-    ``generate_exemplars`` order, as indices into its ``answered +
-    unanswered`` questions: row r has the target ``targets[r]`` and the
-    extras ``extras[extra_ptr[r]:extra_ptr[r + 1]]``, in ascending order."""
-    start = 1 if mode is AugmentMode.POWERSET_NO_EMPTY else 0
-    per_target = _rows_per_target(n_total, mode)
-    total = n_answered * per_target
-    targets, masks = np.divmod(np.arange(lo, total if hi is None else min(hi, total)), per_target)
-    others = np.arange(n_total)
-    if mode is AugmentMode.PLAIN:
-        chosen = np.zeros((len(targets), n_total), bool)
-    elif mode is AugmentMode.CONCAT_ONLY:
-        chosen = others != targets[:, None]
-    else:  # a binary counter over the subsets: bit b of the mask selects question b
-        chosen = (masks + start)[:, None] >> others & 1
-    extra_ptr = np.zeros(len(targets) + 1, np.intp)
-    np.cumsum(chosen.sum(axis=1), out=extra_ptr[1:])
-    return targets, extra_ptr, np.nonzero(chosen)[1]
+class ExemplarRows(NamedTuple):
+    """Exemplars as a table with one entry per answered (target) question,
+    over ``questions``: entry k is question ``targets[k]`` of the
+    ``sizes[k]`` questions ``questions[starts[k]:starts[k] + sizes[k]]`` of
+    image ``image_ids[k]``, and its exemplars, in ``generate_exemplars``
+    order, are rows ``ends[k]:ends[k + 1]``.  ``decode`` computes any rows'
+    questions from the table, so no row is stored."""
+
+    mode: AugmentMode
+    questions: tuple[Question, ...]
+    image_ids: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    targets: np.ndarray
+    ends: np.ndarray
+
+    def select(self, keep: np.ndarray) -> ExemplarRows:
+        """The table of the entries ``keep`` selects, its rows renumbered."""
+        return _table(self.mode, self.questions, *(part[keep] for part in self[2:6]))
+
+    def decode(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entries, owners, extras) of exemplar ``rows``: the table entry of
+        each row, and its extras as indices into ``questions``, ascending per
+        row, each with its row's place in ``rows``."""
+        entries = np.searchsorted(self.ends, rows, side="right") - 1
+        sizes = self.sizes[entries]
+        others = np.arange(int(sizes.max(initial=0)))
+        if self.mode is AugmentMode.PLAIN:
+            chosen = np.zeros((len(rows), 0), bool)
+        elif self.mode is AugmentMode.CONCAT_ONLY:
+            chosen = (others != self.targets[entries, None]) & (others < sizes[:, None])
+        else:  # a binary counter over the subsets: bit b of the mask selects question b
+            masks = rows - self.ends[entries] + (self.mode is AugmentMode.POWERSET_NO_EMPTY)
+            chosen = masks[:, None] >> others & 1
+        owners, extras = np.nonzero(chosen)
+        return entries, owners, self.starts[entries[owners]] + extras
+
+
+def _table(mode: AugmentMode, questions: tuple[Question, ...], image_ids: np.ndarray,
+           starts: np.ndarray, sizes: np.ndarray, targets: np.ndarray) -> ExemplarRows:
+    ends = np.zeros(len(targets) + 1, np.int64)
+    np.cumsum(_rows_per_target(sizes, mode), out=ends[1:])
+    return ExemplarRows(mode, questions, image_ids, starts, sizes, targets, ends)
+
+
+def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> ExemplarRows:
+    """The table of the exemplars ``generate_exemplars`` gives for each
+    record with an answered question, in the same order."""
+    mode = coerce(AugmentMode, mode, "augmentation")
+    questions: list[Question] = []
+    image_ids, entries = [], []  # entries: (start, size, target) of each answered question
+    for record in filter(lambda record: record.answered, records):
+        _exemplar_count(record, mode)
+        image_ids += [record.image_id] * len(record.answered)
+        entries += [(len(questions), len(record.all_questions), target)
+                    for target in range(len(record.answered))]
+        questions += record.all_questions
+    # image ids stay Python ints: a manifest's ids need not fit 64 bits
+    return _table(mode, tuple(questions), np.array(image_ids, object),
+                  *np.array(entries, np.int64).reshape(-1, 3).T)
 
 
 def generate_exemplars(
@@ -146,53 +187,22 @@ def generate_exemplars(
     mode = coerce(AugmentMode, mode, "augmentation")
     if not record.answered:
         raise NoAnswered(f"image {record.image_id} has no answered questions")
-    total = _exemplar_count(record, mode)  # checked here, not at the first row
+    table = exemplar_rows([record], mode)  # its count is checked here, not at the first row
     q_all = record.all_questions
     if make is None:
         def make(target: int, chosen: list[int]) -> Exemplar:
             return Exemplar(record.image_id, q_all[target], tuple(map(q_all.__getitem__, chosen)))
 
     def _generate() -> Iterator[object]:
+        total = int(table.ends[-1])
         for lo in range(0, total, _STREAM_ROWS):
-            rows = _exemplar_rows(len(record.answered), len(q_all), mode, lo, lo + _STREAM_ROWS)
-            targets, extra_ptr, extras = (part.tolist() for part in rows)
-            for row, target in enumerate(targets):
-                yield make(target, extras[extra_ptr[row] : extra_ptr[row + 1]])
+            entries, owners, extras = table.decode(np.arange(lo, min(lo + _STREAM_ROWS, total)))
+            ptr = np.searchsorted(owners, np.arange(len(entries) + 1)).tolist()
+            extras = extras.tolist()
+            for row, target in enumerate(table.targets[entries].tolist()):
+                yield make(target, extras[ptr[row] : ptr[row + 1]])
 
     return _generate()
-
-
-class ExemplarRows(NamedTuple):
-    """Exemplars as index arrays over ``questions``: row r is an exemplar of
-    image ``image_ids[r]`` with the target ``questions[targets[r]]``, whose
-    answer it takes, and the extras ``questions[extras[extra_ptr[r]:extra_ptr[r + 1]]]``."""
-
-    questions: tuple[Question, ...]
-    image_ids: np.ndarray
-    targets: np.ndarray
-    extra_ptr: np.ndarray
-    extras: np.ndarray
-
-
-def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> ExemplarRows:
-    """The exemplars ``generate_exemplars`` gives for each record with an
-    answered question, in the same order, with no object per exemplar."""
-    mode = coerce(AugmentMode, mode, "augmentation")
-    questions: list[Question] = []
-    image_ids, targets, extra_ptr, extras = [], [], [np.zeros(1, np.intp)], []
-    for record in records:
-        if not record.answered:
-            continue
-        _exemplar_count(record, mode)  # before the image's rows are built
-        rows, ptr, chosen = _exemplar_rows(len(record.answered), len(record.all_questions), mode)
-        image_ids.append(np.full(len(rows), record.image_id, np.int64))
-        targets.append(rows + len(questions))
-        extras.append(chosen + len(questions))
-        extra_ptr.append(ptr[1:] + extra_ptr[-1][-1])
-        questions.extend(record.all_questions)
-    empty = [np.zeros(0, np.intp)]
-    return ExemplarRows(tuple(questions), *(np.concatenate(part or empty)
-                                            for part in (image_ids, targets, extra_ptr, extras)))
 
 
 def _strip_answer(question: Question) -> Question:

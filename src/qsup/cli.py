@@ -122,8 +122,10 @@ def _exemplar_lines(record, mode: str):
 
 
 def _cmd_augment(args) -> int:
+    from .augment import exemplar_rows
     manifest = dataio.load_dataset(getattr(args, "in"))
     records = dataio.build_image_records(manifest)
+    exemplar_rows(records, args.mode)  # checks each image's exemplar count before --out is opened
     count = write_lines(args.out, (
         line for record in records if record.answered for line in _exemplar_lines(record, args.mode)
     ))
@@ -150,8 +152,8 @@ def _cmd_train(args) -> int:
         if cfg.vocab is not None
         else vocabmod.build_vocabulary(manifest.questions, cfg.min_count, tokens)
     )
-    rows = augment.exemplar_rows(records, cfg.augment_mode)
-    model = train(rows, features, text_vocab, cfg.train, tokens=tokens)
+    table = augment.exemplar_rows(records, cfg.augment_mode)
+    model = train(table, features, text_vocab, cfg.train, tokens=tokens)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, cfg.out_dir / "model.qsmd")

@@ -392,13 +392,25 @@ def load_features(path: str | Path) -> dict[int, np.ndarray]:
     with open(path, "rb") as fh:
         _check_header(fh, FEATURE_MAGIC)
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "count/dim header"))
+        row_size = 8 + 4 * dim
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        whole = min(count, left // row_size)  # the rows the file holds in full
+        ids: list[int] = []
         table: dict[int, np.ndarray] = {}
-        for row in range(count):
-            (image_id,) = struct.unpack("<Q", _read_exact(fh, 8, f"row {row} id"))
-            raw = _read_exact(fh, 4 * dim, f"row {row} features")
-            if image_id in table:
-                raise DuplicateId(f"image {image_id} appears twice")
-            table[image_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        # reads of at most 64 KiB stay below malloc's mmap threshold, which a larger
+        # buffer raises once freed; a copy per row, so a kept row holds no others
+        step = max(1, (1 << 16) // row_size)
+        for lo in range(0, whole, step):
+            rows = np.frombuffer(fh.read(min(step, whole - lo) * row_size), np.uint8)
+            rows = rows.reshape(-1, row_size)
+            ids += rows[:, :8].view("<u8")[:, 0].tolist()
+            table.update(zip(ids[lo:], (row.astype(np.float64) for row in rows[:, 8:].view("<f4"))))
+        if len(table) < whole:  # name the first id seen twice
+            seen: set[int] = set()
+            raise DuplicateId(f"image {next(i for i in ids if i in seen or seen.add(i))} appears twice")
+        if whole < count:
+            what = "id" if left - whole * row_size < 8 else "features"
+            raise TruncatedFile(f"{fh.name}: file ended while reading row {whole} {what}")
         if fh.read(1):
             raise ParseError(f"{path}: file goes on after the {count} rows its header declares")
     return table

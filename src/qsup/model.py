@@ -5,26 +5,27 @@ ingested image features, an embedded bag-of-words of the target question,
 and an embedded bag-of-words of the extra questions concatenated together.
 A learned affine layer plus softmax predicts the answer class.
 
-``train`` and ``predict_batch`` reach the model by one road: both describe
-their examples as ``augment.ExemplarRows`` (an image, a target question and
-extra questions per example), and one indexer turns the rows into examples.
-It tokenizes each distinct question text once into word positions, sorts
-(row, position) keys once into one bag-of-words row per text (CSR arrays of
-positions, counts and row offsets) and describes each example by indices: an
-image row, the target question's bag row and the extra questions' bag rows.
-The extra block's bag is the sum of its rows, since joining texts with a
-space never merges tokens.  ``train`` takes the output of
-``augment.exemplar_rows`` as it is, so no object is made per exemplar;
-Exemplar objects are first turned into such rows, as is each 256-example
-window of ``predict_batch``.  A batch's count matrix gathers its examples'
-rows over just the words the batch uses; one batched forward pass over it
-(64 examples in predict) serves training, the full-data loss and predict,
-and one sort of (batch, word) keys gives a window of batches.  Training is
-plain mini-batch SGD with analytic gradients, including the Jacobian of the
-L2 normalization applied to the two text blocks; each step updates only the
-embedding rows of words in the batch, the only rows with a gradient.  The
-one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``) gives
-block i of a batch of n bag row i as its target and row n + i as extras.
+``train`` and ``predict_batch`` reach the model by one road: one indexer
+tokenizes each distinct question text once, sorts (row, position) keys once
+into one bag-of-words row per text (CSR arrays of positions, counts and row
+offsets) and describes each example by indices: an image row, the target
+question's bag row and the extra questions' bag rows.  The extra block's bag
+is the sum of its rows, since joining texts with a space never merges
+tokens.  Examples are decoded a window at a time from one of two sources.
+``train`` takes the table of ``augment.exemplar_rows`` as it is, one entry
+per answered question, and computes each window's rows from it, so neither
+an object nor a stored row exists per exemplar and memory does not grow with
+their number.  Exemplar objects, and each 256-example window of
+``predict_batch``, are stored as CSR arrays that windows slice.  A batch's
+count matrix gathers its examples' rows over just the words the batch uses;
+one batched forward pass over it (64 examples in predict) serves training,
+the full-data loss and predict, and one sort of (batch, word) keys gives a
+window of batches.  Training is plain mini-batch SGD with analytic
+gradients, including the Jacobian of the L2 normalization applied to the two
+text blocks; each step updates only the embedding rows of words in the
+batch, the only rows with a gradient.  The one-example API
+(``FeatureBlock``, ``forward``, ``loss_and_grad``) gives block i of a batch
+of n bag row i as its target and row n + i as extras.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .augment import Exemplar, ExemplarRows
+from .augment import AugmentMode, Exemplar, ExemplarRows
 from .errors import (
     DanglingReference,
     DimMismatch,
@@ -183,17 +184,17 @@ class _Bags(NamedTuple):
 
 
 class _Examples(NamedTuple):
-    """Examples as indices.  Example i has the image ``images[image_rows[i]]``;
-    for each text block, (ptr, rows) in ``texts``, its bag is the sum of the
-    bag rows ``rows[ptr[i]:ptr[i + 1]]``: one row for the target question,
-    one per extra question.  This holds because joining texts with a space
-    never merges tokens, so the bag of the joined extras is the sum of the
-    bags of each."""
+    """Examples as indices, decoded a window at a time: ``window(part)``
+    gives each of the examples ``part`` its unit (its row of ``image_rows``
+    and of the caller's labels) and, per text block, (places, rows): bag
+    rows, each with its example's place in ``part``.  A block's bag is the
+    sum of its rows, one for the target question and one per extra
+    question, since joining texts with a space never merges tokens."""
 
     images: np.ndarray
     image_rows: np.ndarray
     bags: _Bags
-    texts: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    window: Callable[[np.ndarray], tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]
 
 
 def _bags(texts: Sequence[Sequence[int]]) -> _Bags:
@@ -230,20 +231,20 @@ def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.arange(len(owners)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), owners
 
 
-def _count_matrices(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, window: np.ndarray,
+def _count_matrices(bags: _Bags, places: np.ndarray, rows: np.ndarray, n: int,
                     batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(words, counts) of one text block for each ``batch_size`` slice of
-    the examples ``window`` in turn: the sorted positions of the words the
+    ``n`` examples in turn, from the bag ``rows`` of the examples at
+    ``places`` (non-decreasing): the sorted positions of the words the
     slice uses and the (examples, words) matrix of the summed counts of each
-    example's bag rows.  One sort of (batch, word) keys serves the window."""
-    lists, examples = _segments(ptr, window)
-    slots, owners = _segments(bags.ptr, rows[lists])
-    places = examples[owners]  # non-decreasing, so each batch's slots are contiguous
+    example's bag rows.  One sort of (batch, word) keys serves all slices."""
+    slots, owners = _segments(bags.ptr, rows)
+    places = places[owners]  # non-decreasing, so each batch's slots are contiguous
     batches = places // batch_size
     positions = bags.positions[slots]
     span = int(positions.max()) + 1 if len(positions) else 1
     keys, cols = np.unique(batches * span + positions, return_inverse=True)
-    n_batches = -(-len(window) // batch_size)
+    n_batches = -(-n // batch_size)
     starts = np.arange(n_batches + 1)
     key_bounds = np.searchsorted(keys, starts * span)
     slot_bounds = np.searchsorted(batches, starts)
@@ -252,27 +253,30 @@ def _count_matrices(bags: _Bags, ptr: np.ndarray, rows: np.ndarray, window: np.n
     cells = (places - batches * batch_size) * widths[batches] + cols - key_bounds[batches]
     weights = bags.counts[slots]
     for b in range(n_batches):
-        size = min(batch_size, len(window) - b * batch_size)
+        size = min(batch_size, n - b * batch_size)
         part = slice(slot_bounds[b], slot_bounds[b + 1])
         counts = np.bincount(cells[part], weights[part], minlength=size * widths[b])
         yield keys[key_bounds[b] : key_bounds[b + 1]] - b * span, counts.reshape(size, widths[b])
 
 
 def _batches(examples: _Examples, order: np.ndarray, batch_size: int):
-    """(idx, batch) for each ``batch_size`` slice idx of ``order``, assembled
-    a window of batches at a time; a batch is the examples' image rows and
-    (words, counts) of each text block."""
+    """(units, batch) for each ``batch_size`` slice of ``order``, decoded and
+    assembled a window of batches at a time; a batch is the examples' image
+    rows and (words, counts) of each text block.  A first window of one batch
+    sizes the next to about _WINDOW_SLOTS bag entries, and so on."""
     sizes = np.diff(examples.bags.ptr)
-    slots = sum(int(sizes[rows].sum()) for _, rows in examples.texts)
-    per_slot = len(examples.image_rows) / max(slots, 1)
-    window = batch_size * max(1, int(_WINDOW_SLOTS * per_slot) // batch_size)
-    for lo in range(0, len(order), window):
+    lo, window = 0, batch_size
+    while lo < len(order):
         part = order[lo : lo + window]
-        texts = zip(*(_count_matrices(examples.bags, ptr, rows, part, batch_size)
-                      for ptr, rows in examples.texts))
-        for start, counts in zip(range(0, len(part), batch_size), texts):
-            idx = part[start : start + batch_size]
-            yield idx, (examples.images[examples.image_rows[idx]], list(counts))
+        units, texts = examples.window(part)
+        counts = zip(*(_count_matrices(examples.bags, places, rows, len(part), batch_size)
+                       for places, rows in texts))
+        for start, batch_counts in zip(range(0, len(part), batch_size), counts):
+            idx = units[start : start + batch_size]
+            yield idx, (examples.images[examples.image_rows[idx]], list(batch_counts))
+        lo += len(part)
+        slots = sum(int(sizes[rows].sum()) for _, rows in texts)
+        window = batch_size * max(1, _WINDOW_SLOTS * len(part) // max(slots, 1) // batch_size)
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +335,8 @@ def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
     bags = _bag_rows([b.target_bow for b in blocks] + [b.extra_bow for b in blocks],
                      model.vocab_size)
     images = _image_matrix([b.image for b in blocks], model.dims.d_img)
-    rows, ptr = np.arange(n), np.arange(n + 1)
-    examples = _Examples(images, rows, bags, ((ptr, rows), (ptr, rows + n)))
+    rows = np.arange(n)
+    examples = _Examples(images, rows, bags, lambda part: (part, [(part, part), (part, part + n)]))
     return next(_batches(examples, rows, n))[1]
 
 
@@ -408,83 +412,97 @@ def _top_answers(counts: Mapping[str, int], size: int) -> tuple[str, ...]:
     return tuple(ranked[:size])
 
 
-def _rows_of(items: Iterable[tuple[int, Question, Sequence[Question]]]) -> ExemplarRows:
-    """(image key, target, extras) items as ExemplarRows over their distinct
-    question objects."""
-    seen: dict[int, tuple[int, Question]] = {}  # id() of a question -> (its place, it)
-
-    def place(question: Question) -> int:
-        return seen.setdefault(id(question), (len(seen), question))[0]
-
-    image_keys, targets, extras, extra_ptr = [], [], [], [0]
-    for image_key, target, extra in items:
-        image_keys.append(image_key)
-        targets.append(place(target))
-        extras.extend(map(place, extra))
-        extra_ptr.append(len(extras))
-    return ExemplarRows(tuple(q for _, q in seen.values()), *(
-        np.array(part, np.intp) for part in (image_keys, targets, extra_ptr, extras)))
-
-
-def _index(rows: ExemplarRows, images: np.ndarray,
-           positions_of: Callable[[str], Sequence[int]]) -> _Examples:
-    """The examples of ``rows``, whose image ids are rows of ``images``, with
-    one bag row (of the word positions ``positions_of`` its text) per
-    distinct text of the questions the rows use."""
-    used = np.zeros(len(rows.questions), bool)
-    used[rows.targets] = used[rows.extras] = True
+def _text_bags(questions: Iterable[Question],
+               positions_of: Callable[[str], Sequence[int]]) -> tuple[np.ndarray, _Bags]:
+    """(bag row of each question, bags): one bag row (of the word positions
+    ``positions_of`` its text) per distinct text of the questions."""
     text_rows: dict[str, int] = {}
-    question_rows = np.zeros(len(rows.questions), np.intp)
-    question_rows[used] = [text_rows.setdefault(rows.questions[i].text, len(text_rows))
-                           for i in np.flatnonzero(used).tolist()]
-    bags = _bags([positions_of(text) for text in text_rows])
-    texts = ((np.arange(len(rows.targets) + 1), question_rows[rows.targets]),
-             (rows.extra_ptr, question_rows[rows.extras]))
-    return _Examples(images, rows.image_ids, bags, texts)
+    rows = [text_rows.setdefault(q.text, len(text_rows)) for q in questions]
+    return np.array(rows, np.intp), _bags([positions_of(text) for text in text_rows])
 
 
-def _index_rows(
-    rows: ExemplarRows,
+def _stored(items: Iterable[tuple[int, Question, Sequence[Question]]],
+            positions_of: Callable[[str], Sequence[int]]):
+    """(image keys, bags, window) of the examples of (image key, target,
+    extras) items, each its own unit, whose windows slice stored arrays."""
+    image_keys, questions, ptr = [], [], [0]
+    for image_key, target, extras in items:
+        image_keys.append(image_key)
+        questions += (target, *extras)
+        ptr.append(len(questions))
+    rows, bags = _text_bags(questions, positions_of)
+    heads = np.array(ptr[:-1], np.intp)  # where each example's target is listed
+    target_rows, extra_rows = rows[heads], np.delete(rows, heads)
+    extra_ptr = np.array(ptr, np.intp) - np.arange(len(ptr))
+
+    def window(part: np.ndarray):
+        lists, places = _segments(extra_ptr, part)
+        return part, [(np.arange(len(part)), target_rows[part]), (places, extra_rows[lists])]
+
+    return np.array(image_keys, np.intp), bags, window
+
+
+def _index_units(
+    exemplars: Iterable[Exemplar] | ExemplarRows,
     features: Mapping[int, np.ndarray],
     vocab: Vocabulary,
     answer_vocab_size: int,
     tokens: Mapping[str, Sequence[str]] | None,
-) -> tuple[_Examples, np.ndarray, tuple[str, ...]]:
-    """(examples, labels, answer vocabulary) of the rows whose answer is in
-    the vocabulary of the ``answer_vocab_size`` most frequent row answers."""
-    n_rows = len(rows.targets)
-    if not n_rows:
+) -> tuple[_Examples, int, np.ndarray, tuple[str, ...]]:
+    """(examples, their number, labels of their units, answer vocabulary) of
+    the exemplars whose answer is among the ``answer_vocab_size`` most frequent:
+    a unit is a kept table entry, which counts its rows, or Exemplar object."""
+    table = exemplars if isinstance(exemplars, ExemplarRows) else None
+    if table is not None:
+        weights = np.diff(table.ends)
+        answers = [table.questions[i].answer for i in (table.starts + table.targets).tolist()]
+    else:
+        exemplars = list(exemplars)
+        weights, answers = np.ones(len(exemplars), np.int64), [e.answer for e in exemplars]
+    if not answers:
         raise NoTrainableExemplars("empty exemplar stream")
-    answer_ids: dict[str | None, int] = {}
-    question_answer = np.array(
-        [answer_ids.setdefault(q.answer, len(answer_ids)) for q in rows.questions], np.intp)
-    row_answers = question_answer[rows.targets]
-    counts = np.bincount(row_answers, minlength=len(answer_ids)).tolist()
-    answer_vocab = _top_answers(
-        {a: c for a, c in zip(answer_ids, counts) if c}, answer_vocab_size)
+    answer_ids: dict[str, int] = {}
+    ids = np.array([answer_ids.setdefault(a, len(answer_ids)) for a in answers], np.intp)
+    counts = np.bincount(ids, weights, len(answer_ids)).astype(np.int64).tolist()
+    answer_vocab = _top_answers(dict(zip(answer_ids, counts)), answer_vocab_size)
     label_of = {a: i for i, a in enumerate(answer_vocab)}
-    labels = np.array([label_of.get(a, -1) for a in answer_ids], np.int64)[row_answers]
+    labels = np.array([label_of.get(a, -1) for a in answer_ids], np.int64)[ids]
     keep = labels >= 0
-    n = int(keep.sum())
+    n_rows, n = int(weights.sum()), int(weights[keep].sum())
     logger.info("exemplars: %d generated, %d kept, %d dropped with out-of-vocabulary answers",
                 n_rows, n, n_rows - n)
     if not n:
         raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
 
-    image_ids, image_rows = np.unique(rows.image_ids[keep], return_inverse=True)
+    def positions_of(text: str) -> Sequence[int]:
+        return token_positions(text, vocab, None if tokens is None else tokens[text])
+
+    if table is None:
+        image_keys, bags, window = _stored(((e.image_id, e.target_question, e.extra) for e, kept
+                                            in zip(exemplars, keep.tolist()) if kept), positions_of)
+    else:
+        table = table.select(keep)
+        image_keys = table.image_ids
+        # the questions of any row: a plain row has only its target; the extras
+        # of the other modes cover the target's image
+        used = ((table.starts + table.targets).tolist() if table.mode is AugmentMode.PLAIN
+                else range(len(table.questions)))
+        question_rows = np.zeros(len(table.questions), np.intp)
+        question_rows[used], bags = _text_bags(map(table.questions.__getitem__, used), positions_of)
+        target_rows = question_rows[table.starts + table.targets]
+
+        def window(part: np.ndarray):
+            entries, owners, extras = table.decode(part)
+            return entries, [(np.arange(len(part)), target_rows[entries]),
+                             (owners, question_rows[extras])]
+
+    image_ids, image_rows = np.unique(image_keys, return_inverse=True)
     for image_id in image_ids.tolist():
         if image_id not in features:
             raise DanglingReference(f"no features for image {image_id}")
     vectors = [features[image_id] for image_id in image_ids.tolist()]
     images = l2_normalize(_image_matrix(vectors, np.shape(vectors[0])[0]))
-    sizes = np.diff(rows.extra_ptr)
-    extra_ptr = np.zeros(n + 1, np.intp)
-    np.cumsum(sizes[keep], out=extra_ptr[1:])
-    kept = ExemplarRows(rows.questions, image_rows, rows.targets[keep], extra_ptr,
-                        rows.extras[np.repeat(keep, sizes)])
-    examples = _index(kept, images, lambda text: token_positions(
-        text, vocab, None if tokens is None else tokens[text]))
-    return examples, labels[keep], answer_vocab
+    return _Examples(images, image_rows, bags, window), n, labels[keep], answer_vocab
 
 
 def train(
@@ -504,9 +522,7 @@ def train(
     text.  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
     epoch when provided, computed ``batch_size`` examples at a time.
     """
-    if not isinstance(exemplars, ExemplarRows):
-        exemplars = _rows_of((e.image_id, e.target_question, e.extra) for e in exemplars)
-    examples, labels, answer_vocab = _index_rows(
+    examples, n, labels, answer_vocab = _index_units(
         exemplars, features, vocab, config.answer_vocab_size, tokens)
 
     d = config.embed_dim
@@ -522,7 +538,6 @@ def train(
         answer_vocab=answer_vocab,
     )
 
-    n = len(labels)
     lr = config.learning_rate
     for epoch in range(config.epochs):
         for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
@@ -581,8 +596,8 @@ def predict_batch(
     examples = iter(examples)
     while window := list(itertools.islice(examples, _PREDICT_WINDOW)):
         images = l2_normalize(_image_matrix([ex[0] for ex in window], model.dims.d_img))
-        rows = _rows_of((i, q, extras or ()) for i, (_, q, extras) in enumerate(window))
-        indexed = _index(rows, images, positions_of)
+        indexed = _Examples(images, *_stored(
+            ((i, q, extras or ()) for i, (_, q, extras) in enumerate(window)), positions_of))
         for _, batch in _batches(indexed, np.arange(len(window)), _PREDICT_CHUNK):
             probs = np.exp(_forward(model, batch)[0])
             labels = np.argmax(probs, axis=1).tolist()  # ties: lowest index

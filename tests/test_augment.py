@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from qsup import augment
 from qsup.augment import (
     AugmentMode,
     ImageRecord,
-    _exemplar_rows,
     exemplar_rows,
     generate_exemplars,
     simulate_answered_fraction,
@@ -132,9 +132,23 @@ def reference_rows(m, n, mode):
                 yield target, tuple(b for b in range(n) if mask >> b & 1)
 
 
-def as_rows(targets, extra_ptr, extras):
-    return [(int(t), tuple(extras[extra_ptr[r] : extra_ptr[r + 1]].tolist()))
-            for r, t in enumerate(targets)]
+def image_rows(m, n, mode, lo=0, hi=None):
+    """(target, extras) of the decoded exemplars ``lo:hi`` of one image with
+    m answered of n questions."""
+    table = exemplar_rows([make_record(m, n - m)], mode)
+    total = int(table.ends[-1])
+    entries, owners, extras = table.decode(np.arange(lo, total if hi is None else min(hi, total)))
+    return [(int(table.targets[k]), tuple(extras[owners == place].tolist()))
+            for place, k in enumerate(entries.tolist())]
+
+
+def decoded(table, rows):
+    """(image id, target, extras) of each of the table's ``rows``."""
+    entries, owners, extras = table.decode(rows)
+    q = table.questions
+    return [(int(table.image_ids[k]), q[table.starts[k] + table.targets[k]],
+             tuple(q[b] for b in extras[owners == place].tolist()))
+            for place, k in enumerate(entries.tolist())]
 
 
 class TestExemplarRows:
@@ -150,7 +164,7 @@ class TestExemplarRows:
         record = ImageRecord(
             1, tuple(Question(f"a{i}", 1, texts[i], answer=f"ans{i}") for i in range(m)),
             tuple(Question(f"u{i}", 1, texts[i]) for i in range(m, n)))
-        rows = as_rows(*_exemplar_rows(m, n, mode))
+        rows = image_rows(m, n, mode)
         assert rows == list(reference_rows(m, n, mode))
         q_all = record.all_questions
         assert [(q_all[t], tuple(q_all[b] for b in extras)) for t, extras in rows] == [
@@ -167,24 +181,39 @@ class TestExemplarRows:
 
     @pytest.mark.parametrize("mode", list(AugmentMode))
     def test_row_ranges_concatenate_to_all_rows(self, mode):
-        everything = as_rows(*_exemplar_rows(3, 5, mode))
-        pieces = [as_rows(*_exemplar_rows(3, 5, mode, lo, lo + 7)) for lo in range(0, 200, 7)]
+        everything = image_rows(3, 5, mode)
+        pieces = [image_rows(3, 5, mode, lo, lo + 7) for lo in range(0, 200, 7)]
         assert sum(pieces, []) == everything
 
     @pytest.mark.parametrize("mode", list(AugmentMode))
     def test_records_give_the_generated_exemplars_in_order(self, mode):
         records = [make_record(2, 1, image_id=7), ImageRecord(8, (), make_record(0, 2).unanswered),
                    make_record(1, 0, image_id=9), make_record(3, 2, image_id=10)]
-        rows = exemplar_rows(records, mode.value)
-        q = rows.questions
-        got = [(int(i), q[t], tuple(q[b] for b in extras)) for i, (t, extras) in
-               zip(rows.image_ids, as_rows(rows.targets, rows.extra_ptr, rows.extras))]
-        assert got == [(e.image_id, e.target_question, e.extra) for r in records if r.answered
-                       for e in generate_exemplars(r, mode)]
+        table = exemplar_rows(records, mode.value)
+        n_rows = int(table.ends[-1])
+        want = [(e.image_id, e.target_question, e.extra) for r in records if r.answered
+                for e in generate_exemplars(r, mode)]
+        # windows of 3 and 7 rows split images and span them; 200 holds every row
+        for window in (1, 3, 7, 200):
+            assert [row for lo in range(0, n_rows, window)
+                    for row in decoded(table, np.arange(lo, min(lo + window, n_rows)))] == want
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_a_selected_table_decodes_the_exemplars_of_its_targets(self, mode):
+        # targets whose answer is out of a vocabulary are dropped, as train drops them
+        records = [make_record(3, 1, image_id=4), make_record(2, 2, image_id=5)]
+        vocabulary = {"ans0", "ans2"}
+        table = exemplar_rows(records, mode)
+        answers = [table.questions[i].answer for i in (table.starts + table.targets).tolist()]
+        kept = table.select(np.array([a in vocabulary for a in answers]))
+        rows = np.random.default_rng(5).permutation(int(kept.ends[-1]))
+        want = [(e.image_id, e.target_question, e.extra) for r in records
+                for e in generate_exemplars(r, mode) if e.answer in vocabulary]
+        assert decoded(kept, rows) == [want[r] for r in rows.tolist()]
 
     def test_no_answered_records_give_no_rows(self):
         rows = exemplar_rows([ImageRecord(1, (), make_record(0, 2).unanswered)], "powerset")
-        assert len(rows.targets) == 0 and rows.extra_ptr.tolist() == [0]
+        assert len(rows.targets) == 0 and rows.ends.tolist() == [0]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UnknownMode):

@@ -720,6 +720,32 @@ def test_a_powerset_image_past_the_limit_is_refused_at_once(case, pair_setup, ca
     assert not (pair_setup / "out").exists()
 
 
+def test_image_ids_past_64_bits_augment_train_and_predict(tmp_path):
+    big = 2**64 + 3
+    (tmp_path / "m.json").write_text(json.dumps({
+        "images": [{"image_id": big, "feature_ref": 1}],
+        "questions": [{"id": "q1", "image_id": big, "text": "what is it", "answer": "cat"},
+                      {"id": "q2", "image_id": big, "text": "is it red"}]}))
+    save_features({1: np.ones(4)}, tmp_path / "f.qvft")
+    (tmp_path / "run.json").write_text(json.dumps({
+        "dataset": "m.json", "features": "f.qvft", "out_dir": "out", "seed": 1,
+        "train": {"epochs": 1, "batch_size": 2, "answer_vocab_size": 2, "embed_dim": 4}}))
+    t = str(tmp_path)
+    assert main(["augment", "--in", f"{t}/m.json", "--out", f"{t}/e.jsonl"]) == 0
+    lines = (tmp_path / "e.jsonl").read_text().splitlines()
+    assert {json.loads(line)["image_id"] for line in lines} == {big}
+    assert main(["train", "--config", f"{t}/run.json"]) == 0
+    assert main(["predict", "--model", f"{t}/out/model.qsmd", "--vocab", f"{t}/out/vocab.txt",
+                 "--features", f"{t}/f.qvft", "--questions", f"{t}/m.json",
+                 "--out", f"{t}/p.jsonl", "--use-extras"]) == 0
+
+
+def test_augment_refuses_an_image_past_the_limit_before_opening_its_output(pair_setup):
+    argv = CONTRACT_CASES["augment_powerset_image_past_the_limit"][0](pair_setup)
+    assert main(argv) == 2
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
 def test_min_count_next_to_vocab_names_the_config(pair_setup, capsys):
     argv = CONTRACT_CASES["train_config_min_count_with_vocab"][0](pair_setup)
     assert main(argv) == 2

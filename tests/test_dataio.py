@@ -190,6 +190,24 @@ class TestFeatureFile:
         with pytest.raises(TruncatedFile):
             load_features(path)
 
+    @pytest.mark.parametrize("ids, kept, error, message", [
+        ([1, 2, 3], 16 + 5, TruncatedFile, "{path}: file ended while reading row 1 id"),
+        ([1, 2, 3], 16 + 8, TruncatedFile, "{path}: file ended while reading row 1 features"),
+        ([1, 2, 3], 16 + 11, TruncatedFile, "{path}: file ended while reading row 1 features"),
+        ([1, 2, 3], 0, TruncatedFile, "{path}: file ended while reading row 0 id"),
+        ([5, 5, 3], 16 + 16 + 3, DuplicateId, "image 5 appears twice"),  # read before the cut
+        ([5, 6, 5], 16 + 16 + 3, TruncatedFile, "{path}: file ended while reading row 2 id"),
+    ])
+    def test_the_first_fault_in_row_order_is_named(self, tmp_path, ids, kept, error, message):
+        # rows of 16 bytes (an 8-byte id and two floats); ``kept`` bytes follow the header
+        path = tmp_path / "feats.qvft"
+        payload = struct.pack("<4sIII", b"QVFT", 1, len(ids), 2)
+        payload += b"".join(struct.pack("<Qff", i, 1.0, 2.0) for i in ids)
+        path.write_bytes(payload[: 16 + kept])
+        with pytest.raises(error) as caught:
+            load_features(path)
+        assert str(caught.value) == message.format(path=path)
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "feats.qvft"
         payload = struct.pack("<4sIII", b"QVFT", 1, 2, 1)

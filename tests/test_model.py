@@ -1,13 +1,19 @@
 import itertools
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qsup
 import qsup.model as model_module
 import qsup.vocab as vocab_module
 from qsup.augment import AugmentMode, ImageRecord, exemplar_rows, generate_exemplars
@@ -739,25 +745,57 @@ class TestExemplarRowsTraining:
         assert caplog.messages == [
             "exemplars: 28 generated, 24 kept, 4 dropped with out-of-vocabulary answers"]
 
-    @pytest.mark.parametrize("mode", [AugmentMode.PLAIN, AugmentMode.POWERSET])
+    @pytest.mark.parametrize("mode", list(AugmentMode))
     @pytest.mark.parametrize("batch_size", [1, 3, 5, 64])
     @pytest.mark.parametrize("window_slots", [1, 100, 1 << 14])
     def test_windowed_batches_equal_the_reference_count_matrices(
             self, mode, batch_size, window_slots, monkeypatch):
         records, features, vocab = oov_setup()
-        examples, labels, _ = model_module._index_rows(
+        examples, n, labels, answer_vocab = model_module._index_units(
             exemplar_rows(records, mode), features, vocab, 2, None)
+        # the reference: the kept exemplars as CSR lists of bag rows, one per distinct text
+        kept = [e for r in records if r.answered for e in generate_exemplars(r, mode)
+                if e.answer in answer_vocab]
+        assert n == len(kept) and len(kept) < sum(1 for r in records if r.answered
+                                                  for _ in generate_exemplars(r, mode))
+        texts = list(dict.fromkeys(q.text for r in records for q in r.all_questions))
+        bags = model_module._bags([token_positions(text, vocab) for text in texts])
+        extra_ptr = np.cumsum([0] + [len(e.extra) for e in kept])
+        blocks = [(np.arange(n + 1), np.array([texts.index(e.target_question.text) for e in kept])),
+                  (extra_ptr, np.array([texts.index(q.text) for e in kept for q in e.extra], np.intp))]
         monkeypatch.setattr(model_module, "_WINDOW_SLOTS", window_slots)
-        order = np.random.default_rng(3).permutation(len(labels))
+        order = np.random.default_rng(3).permutation(n)
         batches = list(model_module._batches(examples, order, batch_size))
-        starts = range(0, len(order), batch_size)
+        starts = range(0, n, batch_size)
         assert len(batches) == len(starts)
-        for (idx, (images, texts)), lo in zip(batches, starts):
-            assert np.array_equal(idx, order[lo : lo + batch_size])
-            assert np.array_equal(images, examples.images[examples.image_rows[idx]])
-            want_texts = [reference_count_matrix(examples.bags, ptr, rows, idx)
-                          for ptr, rows in examples.texts]
-            for (words, counts), (want_words, want_counts) in zip(texts, want_texts):
+        for (units, (images, counts)), lo in zip(batches, starts):
+            idx = order[lo : lo + batch_size]
+            assert [answer_vocab[k] for k in labels[units]] == [kept[i].answer for i in idx]
+            assert np.array_equal(images, l2_normalize(np.array([features[kept[i].image_id]
+                                                                 for i in idx])))
+            want_texts = [reference_count_matrix(bags, ptr, rows, idx) for ptr, rows in blocks]
+            for (words, got), (want_words, want_counts) in zip(counts, want_texts):
                 assert words.dtype == want_words.dtype and np.array_equal(words, want_words)
-                assert counts.shape == want_counts.shape
-                assert np.array_equal(counts, want_counts)
+                assert got.shape == want_counts.shape
+                assert np.array_equal(got, want_counts)
+
+
+def probe_peak_mib(n_questions, n_images):
+    """Peak resident MiB of a fresh process training a generated powerset
+    manifest of ``n_images`` images with ``n_questions`` answered questions each."""
+    src = Path(qsup.__file__).parents[1]
+    probe = src.parent / "scripts" / "train_memory_probe.py"
+    run = subprocess.run(
+        [sys.executable, str(probe), "--questions", str(n_questions), "--images", str(n_images)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    figures = json.loads(run.stdout)
+    assert figures["exemplars"] == n_images * n_questions * 2**n_questions
+    return figures["peak_mib"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_train_memory_is_flat_in_the_number_of_exemplars():
+    # 49,152 and 196,608 powerset exemplars; rows concatenated up front took +37 MiB more
+    one, four = probe_peak_mib(12, 1), probe_peak_mib(12, 4)
+    assert four - one <= 8.0, (one, four)
