@@ -796,6 +796,6 @@ def probe_peak_mib(n_questions, n_images):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_train_memory_is_flat_in_the_number_of_exemplars():
-    # 49,152 and 196,608 powerset exemplars; rows concatenated up front took +37 MiB more
+    # 49,152 and 196,608 powerset exemplars: the peak must not grow with their number
     one, four = probe_peak_mib(12, 1), probe_peak_mib(12, 4)
     assert four - one <= 8.0, (one, four)
