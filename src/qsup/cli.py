@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import sys
@@ -168,29 +169,33 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     from . import vocab as vocabmod
-    from .model import predict_batch
+    from .model import predict_images
     model = dataio.load_model(args.model)
     text_vocab = vocabmod.load_vocabulary(args.vocab)
     if len(text_vocab) != model.vocab_size:
         raise DimMismatch(f"{args.vocab}: {len(text_vocab)} words, but {args.model} "
                           f"has {model.vocab_size} embedding rows")
     manifest = dataio.load_dataset(args.questions)
-    grouped = dataio.questions_by_image(manifest)
-    refs = ((e.image_id, e.feature_ref) for e in manifest.images if grouped[e.image_id])
+    places: dict[int, list[int]] = {}  # manifest positions of each image's questions
+    for i, q in enumerate(manifest.questions):
+        places.setdefault(q.image_id, []).append(i)
+    refs = ((e.image_id, e.feature_ref) for e in manifest.images if e.image_id in places)
     features = _image_features(args.features, refs)
     dims = {len(vec) for vec in features.values()} - {model.dims.d_img}
     if dims:
         raise DimMismatch(f"{args.features}: {dims.pop()}-dimensional features, but "
                           f"{args.model} expects {model.dims.d_img}")
-    examples = (
-        (features[q.image_id], q,
-         [x for x in grouped[q.image_id] if x.id != q.id] if args.use_extras else None)
-        for q in manifest.questions
-    )
-    answers = predict_batch(model, text_vocab, examples)
+    groups = ((features[image_id], [manifest.questions[i] for i in positions])
+              for image_id, positions in places.items())
+    answers: list = [None] * len(manifest.questions)
+    results = predict_images(model, text_vocab, groups, args.use_extras)
+    for (answer, _), i in zip(results, itertools.chain.from_iterable(places.values())):
+        answers[i] = answer
+    # each line as json.dumps gives {question_id, image_id, answer}, from C-encoded strings
     write_lines(args.out, (
-        json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": answer})
-        for q, (answer, _) in zip(manifest.questions, answers)
+        f'{{"question_id": {_encode(q.id) if type(q.id) is str else q.id}, '
+        f'"image_id": {q.image_id}, "answer": {_encode(answer)}}}'
+        for q, answer in zip(manifest.questions, answers)
     ))
     _write_snapshot(Path(args.out).parent, "predict", _args_snapshot(args))
     return 0

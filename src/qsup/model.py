@@ -5,27 +5,27 @@ ingested image features, an embedded bag-of-words of the target question,
 and an embedded bag-of-words of the extra questions concatenated together.
 A learned affine layer plus softmax predicts the answer class.
 
-``train`` and ``predict_batch`` reach the model by one road: one indexer
-tokenizes each distinct question text once, sorts (row, position) keys once
-into one bag-of-words row per text (CSR arrays of positions, counts and row
-offsets) and describes each example by indices: an image row, the target
-question's bag row and the extra questions' bag rows.  The extra block's bag
-is the sum of its rows, since joining texts with a space never merges
-tokens.  Examples are decoded a window at a time from one of two sources.
-``train`` takes the table of ``augment.exemplar_rows`` as it is, one entry
-per answered question, and computes each window's rows from it, so neither
-an object nor a stored row exists per exemplar and memory does not grow with
-their number.  Exemplar objects, and each 256-example window of
-``predict_batch``, are stored as CSR arrays that windows slice.  A batch's
-count matrix gathers its examples' rows over just the words the batch uses;
-one batched forward pass over it (64 examples in predict) serves training,
-the full-data loss and predict, and one sort of (batch, word) keys gives a
-window of batches.  Training is plain mini-batch SGD with analytic
-gradients, including the Jacobian of the L2 normalization applied to the two
-text blocks; each step updates only the embedding rows of words in the
-batch, the only rows with a gradient.  The one-example API
-(``FeatureBlock``, ``forward``, ``loss_and_grad``) gives block i of a batch
-of n bag row i as its target and row n + i as extras.
+Questions reach the model as indices: one indexer tokenizes each distinct
+question text once and sorts (row, position) keys once into one
+bag-of-words row per text (CSR arrays of positions, counts and row
+offsets).  A block's bag is the sum of its rows, since joining texts with a
+space never merges tokens, and a count matrix gathers rows over just the
+words they use.  ``train`` decodes examples (an image row, the target's bag
+row, the extras' bag rows) a window at a time, from the table of
+``augment.exemplar_rows`` or from Exemplar objects stored as CSR arrays, so
+memory does not grow with the number of exemplars; one batched forward pass
+serves training and the full-data loss.  Training is plain mini-batch SGD
+with analytic gradients, including the Jacobian of the L2 normalization
+applied to the two text blocks; each step updates only the embedding rows
+of words in the batch.  Predict goes a window of whole images at a time:
+each question's row is embedded once under each embedding, a question's raw
+extra block is its image's total less its own row (O(k) for k questions),
+and the image term W_img @ img + b is computed once per image and added to
+each question's text term.  ``predict_batch`` answers an example with any
+extras as the image [target, *extras] of which only the target is asked.
+The one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``)
+gives block i of a batch of n bag row i as its target and row n + i as
+extras.
 """
 
 from __future__ import annotations
@@ -64,14 +64,16 @@ __all__ = [
     "train",
     "predict",
     "predict_batch",
+    "predict_images",
     "predict_multiple_choice",
 ]
 
 logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
-_PREDICT_CHUNK = 64  # examples per predict forward pass; bounds its memory
-_PREDICT_WINDOW = 4 * _PREDICT_CHUNK  # examples indexed at a time by predict
+_PREDICT_PASS = 64  # questions per predict forward pass; bounds its memory
+_PREDICT_WINDOW = 2 * _PREDICT_PASS  # questions indexed at a time by predict_images
+_EMBED_PASS = 16  # questions per count matrix in predict; fewer words, fewer zero products
 _WINDOW_SLOTS = 1 << 14  # bag entries per window of batches; bounds its index arrays
 
 
@@ -286,6 +288,13 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / np.where(norms > _NORM_EPS, norms, 1.0), norms
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Rows (last axis) of logits ``z`` turned into log-probabilities, in place."""
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
     bags = _bag_rows([counts], embedding.shape[0])
@@ -324,9 +333,7 @@ def _forward(model: LinearModel, batch):
         parts.append(normed)
         norms.append(raw_norms)
     x = np.concatenate(parts, axis=1)
-    z = x @ model.fc_weights.T + model.fc_bias
-    z -= z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True)), x, norms
+    return _log_softmax(x @ model.fc_weights.T + model.fc_bias), x, norms
 
 
 def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
@@ -566,6 +573,62 @@ def train(
 # inference
 
 
+def _predict(model: LinearModel, vocab: Vocabulary, groups: Iterable[tuple],
+             use_extras: bool, size: int) -> Iterator[tuple[str, np.ndarray]]:
+    """(answer, probs) of the first ``asked`` (at least one) questions of each (image
+    vector, questions, asked) group, indexed in windows of whole groups that ask about
+    ``size``; with ``use_extras`` a raw extra block is the group's total less its own row."""
+    if len(vocab) != model.vocab_size:
+        raise DimMismatch(f"vocabulary of {len(vocab)} words vs {model.vocab_size} embedding rows")
+    d_img, d_t, _, _ = model.dims
+    w_img, w_text = model.fc_weights[:, :d_img], model.fc_weights[:, d_img:]
+    w_text = w_text if use_extras else w_text[:, :d_t]  # without extras, that block is zero
+    embeddings = (model.embed_target, model.embed_extra)[: 1 + use_extras]
+    positions_of = functools.cache(functools.partial(token_positions, vocab=vocab))
+    before = 0  # questions asked before the group
+
+    def window_of(group) -> int:
+        nonlocal before
+        before += group[2]
+        return (before - group[2]) // size
+
+    for _, window in itertools.groupby(groups, window_of):
+        window = list(window)
+        images = l2_normalize(_image_matrix([image for image, _, _ in window], d_img))
+        image_terms = images @ w_img.T + model.fc_bias  # once per image
+        rows, bags = _text_bags((q for _, questions, _ in window for q in questions), positions_of)
+        # each question's row embedded once under each embedding, from one count matrix per pass
+        passes = list(_count_matrices(bags, np.arange(len(rows)), rows, len(rows), _EMBED_PASS))
+        raw = [np.concatenate([counts @ e[words] for words, counts in passes]) for e in embeddings]
+        sizes, asked = np.array([(len(questions), n) for _, questions, n in window]).T
+        owners = np.repeat(np.arange(len(window)), asked)
+        heads = np.cumsum(sizes) - sizes  # where each group's questions start
+        picked = np.arange(len(owners)) + np.repeat(heads - np.cumsum(asked) + asked, asked)
+        totals = np.add.reduceat(raw[-1], heads) if use_extras else None
+        for lo in range(0, len(picked), _PREDICT_PASS):
+            own, units = picked[lo : lo + _PREDICT_PASS], owners[lo : lo + _PREDICT_PASS]
+            blocks = [raw[0][own], totals[units] - raw[1][own]] if use_extras else [raw[0][own]]
+            x = np.concatenate([_normalize_rows(block)[0] for block in blocks], axis=1)
+            z = x @ w_text.T
+            z += image_terms[units]
+            probs = np.exp(_log_softmax(z), out=z)
+            labels = np.argmax(probs, axis=1).tolist()  # ties: lowest index
+            yield from zip([model.answer_vocab[k] for k in labels], probs)
+
+
+def predict_images(
+    model: LinearModel,
+    vocab: Vocabulary,
+    groups: Iterable[tuple[np.ndarray, Sequence[Question]]],
+    use_extras: bool,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Generate ``predict`` results for every question of each (image_feat,
+    questions) group in turn; with ``use_extras`` a question's extras are the
+    other questions of its group.  Each distinct text is tokenized once per call."""
+    asked = ((image, questions, len(questions)) for image, questions in groups if questions)
+    return _predict(model, vocab, asked, use_extras, _PREDICT_WINDOW)
+
+
 def predict(
     model: LinearModel,
     vocab: Vocabulary,
@@ -588,20 +651,11 @@ def predict_batch(
     examples: Iterable[tuple[np.ndarray, Question, Sequence[Question] | None]],
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Generate ``predict`` results for (image_feat, target_q, extra_qs)
-    examples in order: 256 are indexed at a time and answered 64 per forward
-    pass.  Each distinct question text is tokenized once per call."""
-    if len(vocab) != model.vocab_size:
-        raise DimMismatch(f"vocabulary of {len(vocab)} words vs {model.vocab_size} embedding rows")
-    positions_of = functools.cache(functools.partial(token_positions, vocab=vocab))
-    examples = iter(examples)
-    while window := list(itertools.islice(examples, _PREDICT_WINDOW)):
-        images = l2_normalize(_image_matrix([ex[0] for ex in window], model.dims.d_img))
-        indexed = _Examples(images, *_stored(
-            ((i, q, extras or ()) for i, (_, q, extras) in enumerate(window)), positions_of))
-        for _, batch in _batches(indexed, np.arange(len(window)), _PREDICT_CHUNK):
-            probs = np.exp(_forward(model, batch)[0])
-            labels = np.argmax(probs, axis=1).tolist()  # ties: lowest index
-            yield from zip([model.answer_vocab[k] for k in labels], probs)
+    examples in order, each the group [target_q, *extra_qs] asking its target,
+    in windows of _PREDICT_PASS examples: a stream and its slices at multiples
+    of that give the same bits.  Each distinct text is tokenized once per call."""
+    groups = ((image, [target, *(extras or ())], 1) for image, target, extras in examples)
+    return _predict(model, vocab, groups, True, _PREDICT_PASS)
 
 
 def predict_multiple_choice(

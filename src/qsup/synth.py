@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .augment import ImageRecord
-from .model import LinearModel, predict_batch
+from .model import LinearModel, predict_images
 from .qparse import Question
 from .vocab import Vocabulary
 
@@ -83,16 +83,15 @@ def answer_accuracy(
     features: Mapping[int, np.ndarray],
     use_extras: bool = False,
 ) -> float:
-    """Exact-match accuracy over every answered question in the records."""
-    asked = [(record, q) for record in records for q in record.answered]
-    examples = (
-        (features[r.image_id], q,
-         [x for x in r.all_questions if x.id != q.id] if use_extras else None)
-        for r, q in asked
-    )
-    answers = predict_batch(model, vocab, examples)
-    correct = sum(answer == q.answer for (answer, _), (_, q) in zip(answers, asked))
-    return correct / len(asked) if asked else 0.0
+    """Exact-match accuracy over every answered question in the records;
+    with ``use_extras`` a question's extras are the other questions of its image."""
+    records = [record for record in records if record.answered]
+    results = predict_images(model, vocab, ((features[r.image_id], r.all_questions)
+                                            for r in records), use_extras)
+    asked = (q for r in records for q in r.all_questions)
+    # the unanswered questions have no answer
+    hits = [answer == q.answer for (answer, _), q in zip(results, asked) if q.answer is not None]
+    return sum(hits) / len(hits) if hits else 0.0
 
 
 def majority_baseline(records: Sequence[ImageRecord]) -> float:

@@ -229,6 +229,66 @@ class TestTrainPredictEval:
         assert (base / "r1.json").read_text() == (base / "r2.json").read_text()
 
 
+def _predict_inputs(base, answers, questions, images):
+    """A random model over four words and the given answers, its vocabulary,
+    features for the (image id, feature ref) pairs of ``images`` whose ref
+    is below 100, and a manifest of ``images`` and ``questions``; the model
+    as predict reads it back."""
+    from qsup.model import LinearModel
+    words = ["what", "is", "the", "cat"]
+    rng = np.random.default_rng(12)
+    dataio.save_model(LinearModel(
+        rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(len(answers), 8)),
+        rng.normal(size=len(answers)), answers), base / "m.qsmd")
+    vocab.save_vocabulary(vocab.Vocabulary(words), base / "v.txt")
+    save_features({ref: rng.normal(size=2) for _, ref in images if ref < 100}, base / "f.qvft")
+    save_dataset(DatasetManifest(tuple(ImageEntry(*pair) for pair in images), tuple(questions)),
+                 base / "data.json")
+    return dataio.load_model(base / "m.qsmd")
+
+
+class TestPredictOutput:
+    def predict(self, base, use_extras):
+        argv = ["predict", "--model", str(base / "m.qsmd"), "--vocab", str(base / "v.txt"),
+                "--features", str(base / "f.qvft"), "--questions", str(base / "data.json"),
+                "--out", str(base / "p.jsonl")]
+        assert main(argv + ["--use-extras"] * use_extras) == 0
+        return (base / "p.jsonl").read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("use_extras", [False, True])
+    def test_lines_follow_the_manifest_when_it_interleaves_images(self, tmp_path, use_extras):
+        from qsup.model import predict
+        texts = ["what is the cat", "is the cat", "what cat", "the the cat", "what is it"]
+        questions = [qparse.Question(f"q{i}", 1 + i % 2, text) for i, text in enumerate(texts)]
+        # image 3 has no question and no feature row
+        model = _predict_inputs(tmp_path, ("yes", "no", "two"), questions,
+                                [(1, 1), (2, 2), (3, 300)])
+        features = dataio.load_features(tmp_path / "f.qvft")
+        text_vocab = vocab.load_vocabulary(tmp_path / "v.txt")
+        rows = [json.loads(line) for line in self.predict(tmp_path, use_extras)]
+        assert [row["question_id"] for row in rows] == [q.id for q in questions]
+        for q, row in zip(questions, rows):
+            extras = [x for x in questions if x.image_id == q.image_id and x is not q]
+            answer, _ = predict(model, text_vocab, features[q.image_id], q,
+                                extras if use_extras else None)
+            assert (row["image_id"], row["answer"]) == (q.image_id, answer)
+
+    def test_lines_are_json_dumps_bytes(self, tmp_path):
+        # answers and string ids that need escapes, int ids and a large image id
+        answers = ('caf\u00e9 "au" lait', "\u96ea \\ snow", "na\u00efve \\ \"x\"")
+        ids = [7, 'say "hi"', "back\\slash", "\u00fcn\u00efcode", 2**40, "\u96ea"]
+        questions = [qparse.Question(qid, [1, 2**70][i % 2], ["what is the cat", "the cat"][i % 2])
+                     for i, qid in enumerate(ids)]
+        _predict_inputs(tmp_path, answers, questions, [(1, 1), (2**70, 2)])
+        lines = self.predict(tmp_path, True)
+        assert len(lines) == len(questions)
+        for q, line in zip(questions, lines):
+            answer = json.loads(line)["answer"]
+            assert answer in answers
+            assert line == json.dumps({"question_id": q.id, "image_id": q.image_id,
+                                       "answer": answer})
+
+
 class TestExtractionEval:
     def test_per_class_report(self, tmp_path):
         payload = {

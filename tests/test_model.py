@@ -30,6 +30,7 @@ from qsup.model import (
     make_feature_block,
     predict,
     predict_batch,
+    predict_images,
     predict_multiple_choice,
     train,
 )
@@ -591,6 +592,85 @@ class TestSparseBatchedPath:
         loss, _ = loss_and_grad(model, full)
         assert len(losses) == 2
         assert abs(losses[-1] - loss) <= 1e-12
+
+
+class TestPredictImages:
+    WORDS = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
+
+    def reference(self, model, vocab, image, questions, use_extras):
+        """Each question's probabilities from the one-example path."""
+        return [forward(model, make_feature_block(
+            vocab, image, q, [x for x in questions if x is not q] if use_extras else None))
+            for q in questions]
+
+    @pytest.mark.parametrize("use_extras", [True, False])
+    def test_each_question_matches_the_one_example_reference(self, use_extras):
+        rng = np.random.default_rng(81)
+        vocab = Vocabulary(self.WORDS)
+        model = random_model(rng, v=len(self.WORDS), answers=tuple("abcde"))
+        texts = [
+            ["what is the red cat"],  # one question
+            ["what is the red cat", "zebra unseen", "okapi"],  # the others out of vocabulary
+            ["is the dog left", "is the dog left", "what is blue"],  # a text repeated
+            [],  # no question: no answer
+            ["red red red dog", "the cat", "", "blue left dog is"],
+        ]
+        groups = [(rng.normal(size=4), [Question(f"q{i}_{j}", i, t) for j, t in enumerate(ts)])
+                  for i, ts in enumerate(texts * 30)]  # windows of whole images
+        got = list(predict_images(model, vocab, groups, use_extras))
+        want = [probs for image, questions in groups
+                for probs in self.reference(model, vocab, image, questions, use_extras)]
+        assert len(got) == len(want) == sum(len(questions) for _, questions in groups)
+        for (answer, probs), ref in zip(got, want):
+            np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
+            assert answer == model.answer_vocab[int(np.argmax(ref))]
+
+    def test_a_lone_or_out_of_vocabulary_extra_block_is_exactly_zero(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        vocab = Vocabulary(self.WORDS)
+        model = random_model(rng, v=len(self.WORDS), answers=tuple("abcde"))
+        image, lone = rng.normal(size=4), Question("q", 1, "what is the red cat")
+        others = [Question("o1", 1, "zebra unseen"), Question("o2", 1, "okapi")]
+        blocks = []
+
+        def recording(raw):
+            blocks.append(raw.copy())
+            return normalize(raw)
+
+        normalize = model_module._normalize_rows
+        monkeypatch.setattr(model_module, "_normalize_rows", recording)
+        (answer, probs), = predict_images(model, vocab, [(image, [lone])], True)
+        (_, with_oov), _, _ = predict_images(model, vocab, [(image, [lone, *others])], True)
+        assert len(blocks) == 6  # image, target and extra blocks of two windows
+        assert not blocks[2].any() and not blocks[5][0].any()
+        monkeypatch.undo()
+        want_answer, want_probs = predict(model, vocab, image, lone, None)
+        assert answer == want_answer and np.array_equal(probs, want_probs)
+        np.testing.assert_allclose(with_oov, probs, rtol=0, atol=1e-12)
+
+    def test_extras_index_each_question_row_once(self, monkeypatch):
+        # 4 images of k=50 questions: an O(k**2) indexer lists each row k times
+        rng = np.random.default_rng(83)
+        vocab = Vocabulary(self.WORDS)
+        model = random_model(rng, v=len(self.WORDS), answers=tuple("abcde"))
+        groups = [(rng.normal(size=4),
+                   [Question(f"q{i}_{j}", i, " ".join(rng.choice(self.WORDS + ["unseen"], 5)))
+                    for j in range(50)]) for i in range(4)]
+        slots = []
+
+        def counting(bags, places, rows, n, batch_size):
+            slots.append(int(np.diff(bags.ptr)[rows].sum()))
+            return count_matrices(bags, places, rows, n, batch_size)
+
+        count_matrices = model_module._count_matrices
+        monkeypatch.setattr(model_module, "_count_matrices", counting)
+        got = list(predict_images(model, vocab, groups, True))
+        tokens = sum(len(token_positions(q.text, vocab)) for _, qs in groups for q in qs)
+        assert 0 < sum(slots) <= 2 * tokens
+        monkeypatch.undo()
+        image, questions = groups[2]
+        for (_, probs), ref in zip(got[100:150], self.reference(model, vocab, image, questions, True)):
+            np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
 
 
 def shared_text_setup():
