@@ -76,9 +76,10 @@ def _load_tables(args):
 
 
 def _image_features(path: str | Path, refs: Iterable[tuple[int, int]]) -> dict:
-    """The feature vector of each (image id, feature ref) pair, by image id;
-    the file's other rows are not kept."""
-    table = dataio.load_features(path)
+    """The float32 feature vector of each (image id, feature ref) pair, by
+    image id; the file's other rows are checked but not kept."""
+    refs = list(refs)
+    table = dataio.load_features(path, [ref for _, ref in refs])
     features = {}
     for image_id, ref in refs:
         if ref not in table:

@@ -24,7 +24,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import is_not, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
 from .errors import (
     BadMagic,
@@ -346,9 +346,13 @@ def build_image_records(manifest: DatasetManifest) -> list[ImageRecord]:
 # binary helpers: their errors name the file, since one command reads several
 
 
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
+def _check_left(fh: BinaryIO, size: int, what: str) -> None:
     if size > os.fstat(fh.fileno()).st_size - fh.tell():  # before a buffer of ``size`` is made
         raise TruncatedFile(f"{fh.name}: file ended while reading {what}")
+
+
+def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
+    _check_left(fh, size, what)
     return fh.read(size)
 
 
@@ -385,29 +389,39 @@ def save_features(features: Mapping[int, np.ndarray], path: str | Path, dim: int
             fh.write(np.asarray(vec, dtype="<f4").ravel().tobytes())
 
 
-def load_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read an image-feature table; rejects duplicate ids and files shorter
-    or longer than their header declares."""
+def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[int, np.ndarray]:
+    """Read an image-feature table as the float32 rows the file stores: every
+    row, or with ``refs`` only the rows whose ids it names (ids it names that
+    the file lacks are absent).  Every row is checked either way: a repeated
+    id, kept or not, and a file shorter or longer than its header declares
+    are faults."""
     import numpy as np
+    wanted = None if refs is None else set(refs)
     with open(path, "rb") as fh:
         _check_header(fh, FEATURE_MAGIC)
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "count/dim header"))
         row_size = 8 + 4 * dim
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         whole = min(count, left // row_size)  # the rows the file holds in full
-        ids: list[int] = []
+        ids = np.empty(whole, "<u8")
         table: dict[int, np.ndarray] = {}
-        # reads of at most 64 KiB stay below malloc's mmap threshold, which a larger
-        # buffer raises once freed; a copy per row, so a kept row holds no others
+        # blocks of at most 64 KiB, read into one buffer, stay below malloc's mmap
+        # threshold, which a larger buffer raises once freed; a block's kept rows are
+        # copied out together
         step = max(1, (1 << 16) // row_size)
+        buffer = np.empty((min(step, whole), row_size), np.uint8)
         for lo in range(0, whole, step):
-            rows = np.frombuffer(fh.read(min(step, whole - lo) * row_size), np.uint8)
-            rows = rows.reshape(-1, row_size)
-            ids += rows[:, :8].view("<u8")[:, 0].tolist()
-            table.update(zip(ids[lo:], (row.astype(np.float64) for row in rows[:, 8:].view("<f4"))))
-        if len(table) < whole:  # name the first id seen twice
-            seen: set[int] = set()
-            raise DuplicateId(f"image {next(i for i in ids if i in seen or seen.add(i))} appears twice")
+            rows = buffer[: min(step, whole - lo)]
+            fh.readinto(rows)
+            ids[lo : lo + len(rows)] = rows[:, :8].view("<u8")[:, 0]
+            block = ids[lo : lo + len(rows)].tolist()
+            keep = [j for j, i in enumerate(block) if wanted is None or i in wanted]
+            table.update(zip(map(block.__getitem__, keep), rows[keep, 8:].view("<f4")))
+        firsts = np.unique(ids, return_index=True)[1]
+        if len(firsts) < whole:  # name the first id seen twice
+            repeats = np.ones(whole, bool)
+            repeats[firsts] = False
+            raise DuplicateId(f"image {int(ids[repeats.argmax()])} appears twice")
         if whole < count:
             what = "id" if left - whole * row_size < 8 else "features"
             raise TruncatedFile(f"{fh.name}: file ended while reading row {whole} {what}")
@@ -430,13 +444,19 @@ def save_model(model: LinearModel, path: str | Path) -> None:
             raw = answer.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        for name in ("embed_target", "embed_extra", "fc_weights", "fc_bias"):
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4"))
+        for param in model.parameters().values():
+            # float32 in blocks of about 64 KiB, not one full-size copy per table
+            step = max(1, (1 << 14) // max(1, math.prod(param.shape[1:])))
+            for lo in range(0, len(param), step):
+                fh.write(np.ascontiguousarray(param[lo : lo + step], dtype="<f4"))
 
 
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model file; parameters come back as float64 copies of the
-    stored float32 values, so save -> load -> save is byte-identical."""
+    """Read a model file.  The embedding tables come back as the stored
+    float32 values, read straight into their arrays, and the fc weights and
+    bias as float64 copies of theirs; float32 -> float64 is exact, so every
+    product sees the doubles it would have seen on a float64 copy, and
+    save -> load -> save is byte-identical."""
     import numpy as np
     from .model import LinearModel
     with open(path, "rb") as fh:
@@ -452,13 +472,15 @@ def load_model(path: str | Path) -> LinearModel:
             answers.append(_read_exact(fh, length, f"answer {i}"))
 
         def read_array(shape: tuple[int, ...], what: str) -> np.ndarray:
-            raw = _read_exact(fh, 4 * math.prod(shape), what)  # Python ints: no overflow
-            return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            _check_left(fh, 4 * math.prod(shape), what)  # Python ints: no overflow
+            array = np.empty(shape, "<f4")
+            fh.readinto(array)
+            return array
 
         embed_target = read_array((vocab_size, d_t), "target embedding")
         embed_extra = read_array((vocab_size, d_e), "extra embedding")
-        fc_weights = read_array((n_answers, d_img + d_t + d_e), "fc weights")
-        fc_bias = read_array((n_answers,), "fc bias")
+        fc_weights = read_array((n_answers, d_img + d_t + d_e), "fc weights").astype(np.float64)
+        fc_bias = read_array((n_answers,), "fc bias").astype(np.float64)
         if fh.read(1):
             raise ParseError(f"{path}: file goes on after the fc bias")
     try:

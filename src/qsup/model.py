@@ -86,7 +86,13 @@ class ModelDims(NamedTuple):
 
 @dataclass
 class LinearModel:
-    """Parameters of the two-text-block linear softmax model."""
+    """Parameters of the two-text-block linear softmax model.
+
+    ``train`` makes float64 parameters; ``dataio.load_model`` gives the
+    embedding tables as the float32 the file stores.  Every product widens
+    just the embedding rows it gathers to float64, which is exact, so a
+    loaded model computes the same doubles as its float64 copy.
+    """
 
     embed_target: np.ndarray  # (vocab, d_t)
     embed_extra: np.ndarray  # (vocab, d_e)
@@ -295,10 +301,15 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _rows(embedding: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The embedding rows at ``words`` as float64 (a float32 table's widened exactly)."""
+    return embedding[words].astype(np.float64, copy=False)
+
+
 def embed_bow(counts: BowVector, embedding: np.ndarray) -> np.ndarray:
     """Sum of count * embedding row over the bag's entries."""
     bags = _bag_rows([counts], embedding.shape[0])
-    return bags.counts @ embedding[bags.positions]
+    return bags.counts @ _rows(embedding, bags.positions)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -329,7 +340,7 @@ def _forward(model: LinearModel, batch):
     images, texts = batch
     parts, norms = [images], []
     for (words, counts), embedding in zip(texts, (model.embed_target, model.embed_extra)):
-        normed, raw_norms = _normalize_rows(counts @ embedding[words])
+        normed, raw_norms = _normalize_rows(counts @ _rows(embedding, words))
         parts.append(normed)
         norms.append(raw_norms)
     x = np.concatenate(parts, axis=1)
@@ -399,7 +410,8 @@ def loss_and_grad(
     if not ((labels >= 0) & (labels < n_answers)).all():
         raise ValueError(f"labels outside answer vocabulary of {n_answers}: {labels}")
     loss, d_weights, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
-    d_embed = [np.zeros_like(model.embed_target), np.zeros_like(model.embed_extra)]
+    # float64 whatever the parameters' dtype: a float32 gradient would round
+    d_embed = [np.zeros(model.embed_target.shape), np.zeros(model.embed_extra.shape)]
     for grad, (words, rows) in zip(d_embed, text_rows):
         grad[words] = rows
     return loss, Gradients(*d_embed, d_weights, d_bias)
@@ -557,6 +569,8 @@ def train(
             for embedding, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):
                 grad *= lr
                 embedding[words] -= grad
+            # so that no two steps' fc-sized gradients are alive at once
+            del d_weights, d_bias, embeds, batch
         for param in model.parameters().values():
             if not np.isfinite(param).all():
                 raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
@@ -599,7 +613,8 @@ def _predict(model: LinearModel, vocab: Vocabulary, groups: Iterable[tuple],
         rows, bags = _text_bags((q for _, questions, _ in window for q in questions), positions_of)
         # each question's row embedded once under each embedding, from one count matrix per pass
         passes = list(_count_matrices(bags, np.arange(len(rows)), rows, len(rows), _EMBED_PASS))
-        raw = [np.concatenate([counts @ e[words] for words, counts in passes]) for e in embeddings]
+        raw = [np.concatenate([counts @ _rows(e, words) for words, counts in passes])
+               for e in embeddings]
         sizes, asked = np.array([(len(questions), n) for _, questions, n in window]).T
         owners = np.repeat(np.arange(len(window)), asked)
         heads = np.cumsum(sizes) - sizes  # where each group's questions start

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsup
 from qsup import dataio, qparse, vocab
 from qsup.augment import generate_exemplars
 from qsup.cli import main
@@ -245,6 +249,29 @@ def _predict_inputs(base, answers, questions, images):
     save_dataset(DatasetManifest(tuple(ImageEntry(*pair) for pair in images), tuple(questions)),
                  base / "data.json")
     return dataio.load_model(base / "m.qsmd")
+
+
+def predict_probe_peak_mib(extra_rows):
+    """Peak resident MiB of the `qsup predict --use-extras` child of the predict
+    scale probe, whose feature file holds ``extra_rows`` rows (d=256) of images
+    its 500-question manifest does not name."""
+    src = Path(qsup.__file__).parents[1]
+    probe = src.parent / "scripts" / "predict_scale_probe.py"
+    run = subprocess.run(
+        [sys.executable, str(probe), "--questions-per-image", "5", "--questions", "500",
+         "--extra-feature-rows", str(extra_rows)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    figures = json.loads(run.stdout)
+    assert figures["extra_feature_rows"] == extra_rows
+    return figures["peak_mib"]
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="the probe reaps its child with os.wait4")
+def test_predict_memory_is_flat_in_the_feature_rows_the_manifest_does_not_name():
+    # 20,000 unnamed rows are ~40 MiB as float64 vectors, ~20 MiB as float32
+    none, many = predict_probe_peak_mib(0), predict_probe_peak_mib(20000)
+    assert many - none <= 6.0, (none, many)
 
 
 class TestPredictOutput:

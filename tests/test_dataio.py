@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qsup import cli
 from qsup.dataio import (
     DatasetManifest,
     ImageEntry,
@@ -190,6 +191,11 @@ class TestFeatureFile:
         with pytest.raises(TruncatedFile):
             load_features(path)
 
+    @pytest.mark.parametrize("read", [
+        load_features,
+        lambda path: load_features(path, [3]),
+        lambda path: cli._image_features(path, [(7, 3)]),
+    ], ids=["all rows", "named rows", "image features"])
     @pytest.mark.parametrize("ids, kept, error, message", [
         ([1, 2, 3], 16 + 5, TruncatedFile, "{path}: file ended while reading row 1 id"),
         ([1, 2, 3], 16 + 8, TruncatedFile, "{path}: file ended while reading row 1 features"),
@@ -198,15 +204,58 @@ class TestFeatureFile:
         ([5, 5, 3], 16 + 16 + 3, DuplicateId, "image 5 appears twice"),  # read before the cut
         ([5, 6, 5], 16 + 16 + 3, TruncatedFile, "{path}: file ended while reading row 2 id"),
     ])
-    def test_the_first_fault_in_row_order_is_named(self, tmp_path, ids, kept, error, message):
+    def test_the_first_fault_in_row_order_is_named(self, tmp_path, ids, kept, error, message,
+                                                   read):
         # rows of 16 bytes (an 8-byte id and two floats); ``kept`` bytes follow the header
         path = tmp_path / "feats.qvft"
         payload = struct.pack("<4sIII", b"QVFT", 1, len(ids), 2)
         payload += b"".join(struct.pack("<Qff", i, 1.0, 2.0) for i in ids)
         path.write_bytes(payload[: 16 + kept])
         with pytest.raises(error) as caught:
-            load_features(path)
+            read(path)
         assert str(caught.value) == message.format(path=path)
+
+    def test_named_rows_come_back_as_the_stored_float32(self, tmp_path):
+        rng = np.random.default_rng(1)
+        table = {i: rng.normal(size=3) for i in range(1, 200)}
+        path = tmp_path / "feats.qvft"
+        save_features(table, path)
+        loaded = load_features(path, [150, 2, 999, 2])  # 999 is not in the file
+        assert sorted(loaded) == [2, 150]
+        for key, row in loaded.items():
+            assert row.dtype == np.float32
+            np.testing.assert_array_equal(row, table[key].astype(np.float32))
+        assert load_features(path, []) == {}
+        assert all(row.dtype == np.float32 for row in load_features(path).values())
+        features = cli._image_features(path, [(10, 150), (11, 2)])
+        assert sorted(features) == [10, 11]
+        np.testing.assert_array_equal(features[10], loaded[150])
+
+    @pytest.mark.parametrize("fault", ["repeated unnamed id", "truncated last row",
+                                       "trailing bytes"])
+    def test_reading_named_rows_keeps_every_check(self, tmp_path, fault):
+        ids = [1, 2, 3, 2] if fault == "repeated unnamed id" else [1, 2, 3]
+        payload = struct.pack("<4sIII", b"QVFT", 1, len(ids), 2)
+        payload += b"".join(struct.pack("<Qff", i, 1.0, 2.0) for i in ids)
+        path = tmp_path / "feats.qvft"
+        path.write_bytes({"truncated last row": payload[:-3],
+                          "trailing bytes": payload + b"\0"}.get(fault, payload))
+        expected = {
+            "repeated unnamed id": (DuplicateId, "image 2 appears twice"),
+            "truncated last row": (TruncatedFile, f"{path}: file ended while reading row 2 features"),
+            "trailing bytes": (ParseError, f"{path}: file goes on after the 3 rows its header declares"),
+        }[fault]
+        for read in (load_features, lambda p: load_features(p, [1]),
+                     lambda p: cli._image_features(p, [(7, 1)])):
+            with pytest.raises(expected[0]) as caught:
+                read(path)
+            assert (type(caught.value), str(caught.value)) == expected
+
+    def test_a_ref_the_file_lacks_is_a_dangling_reference(self, tmp_path):
+        path = tmp_path / "feats.qvft"
+        save_features({1: np.zeros(2), 2: np.ones(2)}, path)
+        with pytest.raises(DanglingReference, match="^image 8: no features under ref 3$"):
+            cli._image_features(path, [(7, 1), (8, 3)])
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "feats.qvft"
@@ -298,6 +347,7 @@ class TestModelFile:
             mem_answer, mem_probs = predict(model, vocab, image, question)
             disk_answer, disk_probs = predict(loaded, vocab, image, question)
             assert mem_answer == disk_answer
+            assert disk_probs.dtype == np.float64
             np.testing.assert_array_equal(mem_probs, disk_probs)
 
 

@@ -17,6 +17,7 @@ import qsup
 import qsup.model as model_module
 import qsup.vocab as vocab_module
 from qsup.augment import AugmentMode, ImageRecord, exemplar_rows, generate_exemplars
+from qsup.dataio import load_model, save_model
 from qsup.errors import DimMismatch, EmptyBatch, NoTrainableExemplars
 from qsup.model import (
     FeatureBlock,
@@ -720,6 +721,62 @@ def reference_train(exemplars, features, vocab, cfg):
             for name, param in model.parameters().items():
                 param -= cfg.learning_rate * getattr(grads, name)
     return model
+
+
+class TestLoadedModel:
+    """A loaded model keeps its embedding tables as the stored float32; every
+    product must see the doubles a float64 copy of its arrays gives."""
+
+    def load(self, tmp_path, model):
+        save_model(model, tmp_path / "m.qsmd")
+        loaded = load_model(tmp_path / "m.qsmd")
+        assert loaded.embed_target.dtype == loaded.embed_extra.dtype == np.float32
+        params = [param.astype(np.float64) for param in loaded.parameters().values()]
+        return loaded, LinearModel(*params, loaded.answer_vocab)
+
+    def test_loss_and_grad_is_the_float64_copys_and_passes_the_gradient_check(self, tmp_path):
+        rng = np.random.default_rng(17)
+        loaded, copy = self.load(tmp_path, random_model(rng))
+        batch = random_batch(rng, loaded, size=8)
+        loss, grads = loss_and_grad(loaded, batch)
+        want_loss, want = loss_and_grad(copy, batch)
+        assert loss == want_loss
+        for name in ("embed_target", "embed_extra", "fc_weights", "fc_bias"):
+            got = getattr(grads, name)
+            assert got.dtype == np.float64 and np.array_equal(got, getattr(want, name)), name
+        # gate 03's central differences, stepped on the float64 copy
+        h = 1e-5
+        for name, param in copy.parameters().items():
+            analytic = getattr(grads, name)
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                up, _ = loss_and_grad(copy, batch)
+                param[idx] = orig - h
+                down, _ = loss_and_grad(copy, batch)
+                param[idx] = orig
+                numeric = (up - down) / (2 * h)
+                rel = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-8)
+                assert rel < 1e-4, f"{name}{idx}: rel err {rel:.2e}"
+
+    @pytest.mark.parametrize("use_extras", [True, False])
+    def test_predict_is_the_float64_copys_bit_for_bit(self, tmp_path, use_extras):
+        rng = np.random.default_rng(84)
+        words = TestPredictImages.WORDS
+        vocab = Vocabulary(words)
+        loaded, copy = self.load(tmp_path, random_model(rng, v=len(words), answers=tuple("abcde")))
+        groups = [(rng.normal(size=4),
+                   [Question(f"q{i}_{j}", i, " ".join(rng.choice(words + ["unseen"], 4)))
+                    for j in range(int(rng.integers(1, 6)))]) for i in range(100)]
+        got = list(predict_images(loaded, vocab, groups, use_extras))
+        want = list(predict_images(copy, vocab, groups, use_extras))
+        assert [answer for answer, _ in got] == [answer for answer, _ in want]
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, want))
+        for image, questions in groups[:20]:
+            extras = questions[1:] if use_extras else None
+            answer, probs = predict(loaded, vocab, image, questions[0], extras)
+            want_answer, want_probs = predict(copy, vocab, image, questions[0], extras)
+            assert answer == want_answer and np.array_equal(probs, want_probs)
 
 
 class TestQuestionRows:
