@@ -9,7 +9,8 @@ question, and its ``decode`` computes the questions of any rows from it, so
 training stores no row; ``generate_exemplars`` streams the same rows of one
 image, decoded a bounded number at a time, as ``Exemplar`` objects or as
 whatever its ``make`` builds from a row's indices (``qsup augment`` builds
-each JSONL line).
+each JSONL line).  ``ExemplarRows.from_exemplars`` lays out any stream of
+``Exemplar`` objects as a table, one entry each.
 """
 
 from __future__ import annotations
@@ -118,6 +119,20 @@ class ExemplarRows(NamedTuple):
     sizes: np.ndarray
     targets: np.ndarray
     ends: np.ndarray
+
+    @classmethod
+    def from_exemplars(cls, exemplars: Iterable[Exemplar]) -> ExemplarRows:
+        """The table of ``exemplars`` in order: each is one concat_only entry
+        [target, *extras] of target 0 and one row, whose extras decode as its own."""
+        questions: list[Question] = []
+        image_ids, starts = [], []
+        for exemplar in exemplars:
+            image_ids.append(exemplar.image_id)
+            starts.append(len(questions))
+            questions += (exemplar.target_question, *exemplar.extra)
+        starts = np.array(starts, np.int64)
+        return _table(AugmentMode.CONCAT_ONLY, tuple(questions), np.array(image_ids, object),
+                      starts, np.diff(starts, append=len(questions)), np.zeros_like(starts))
 
     def select(self, keep: np.ndarray) -> ExemplarRows:
         """The table of the entries ``keep`` selects, its rows renumbered."""

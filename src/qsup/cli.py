@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError:
         return 1
-    except (QsupError, OSError) as exc:
+    except (QsupError, OSError, MemoryError) as exc:  # a table too large to allocate, say
         sys.stderr.write(f"qsup: error: {exc}\n")
         return 2
 

@@ -11,9 +11,9 @@ bag-of-words row per text (CSR arrays of positions, counts and row
 offsets).  A block's bag is the sum of its rows, since joining texts with a
 space never merges tokens, and a count matrix gathers rows over just the
 words they use.  ``train`` decodes examples (an image row, the target's bag
-row, the extras' bag rows) a window at a time, from the table of
-``augment.exemplar_rows`` or from Exemplar objects stored as CSR arrays, so
-memory does not grow with the number of exemplars; one batched forward pass
+row, the extras' bag rows) a window at a time from an ``augment.ExemplarRows``
+table, which Exemplar objects are laid out as first, so memory does not grow
+with the number of exemplars the table describes; one batched forward pass
 serves training and the full-data loss.  Training is plain mini-batch SGD
 with analytic gradients, including the Jacobian of the L2 normalization
 applied to the two text blocks; each step updates only the embedding rows
@@ -192,17 +192,18 @@ class _Bags(NamedTuple):
 
 
 class _Examples(NamedTuple):
-    """Examples as indices, decoded a window at a time: ``window(part)``
-    gives each of the examples ``part`` its unit (its row of ``image_rows``
-    and of the caller's labels) and, per text block, (places, rows): bag
-    rows, each with its example's place in ``part``.  A block's bag is the
-    sum of its rows, one for the target question and one per extra
-    question, since joining texts with a space never merges tokens."""
+    """Examples as the rows of ``table``, decoded a window at a time: a row's
+    unit is its table entry k, whose row of ``image_rows`` and of the
+    caller's labels it takes; its target's bag row is ``target_rows[k]``
+    and extra question q's is ``question_rows[q]``.  A block's bag is the
+    sum of its rows, since joining texts with a space never merges tokens."""
 
     images: np.ndarray
     image_rows: np.ndarray
     bags: _Bags
-    window: Callable[[np.ndarray], tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]
+    table: ExemplarRows
+    target_rows: np.ndarray
+    question_rows: np.ndarray
 
 
 def _bags(texts: Sequence[Sequence[int]]) -> _Bags:
@@ -276,11 +277,13 @@ def _batches(examples: _Examples, order: np.ndarray, batch_size: int):
     lo, window = 0, batch_size
     while lo < len(order):
         part = order[lo : lo + window]
-        units, texts = examples.window(part)
+        entries, owners, extras = examples.table.decode(part)
+        texts = [(np.arange(len(part)), examples.target_rows[entries]),
+                 (owners, examples.question_rows[extras])]
         counts = zip(*(_count_matrices(examples.bags, places, rows, len(part), batch_size)
                        for places, rows in texts))
         for start, batch_counts in zip(range(0, len(part), batch_size), counts):
-            idx = units[start : start + batch_size]
+            idx = entries[start : start + batch_size]
             yield idx, (examples.images[examples.image_rows[idx]], list(batch_counts))
         lo += len(part)
         slots = sum(int(sizes[rows].sum()) for _, rows in texts)
@@ -352,10 +355,9 @@ def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
     n = len(blocks)
     bags = _bag_rows([b.target_bow for b in blocks] + [b.extra_bow for b in blocks],
                      model.vocab_size)
-    images = _image_matrix([b.image for b in blocks], model.dims.d_img)
     rows = np.arange(n)
-    examples = _Examples(images, rows, bags, lambda part: (part, [(part, part), (part, part + n)]))
-    return next(_batches(examples, rows, n))[1]
+    texts = [next(_count_matrices(bags, rows, rows + first, n, n)) for first in (0, n)]
+    return _image_matrix([b.image for b in blocks], model.dims.d_img), texts
 
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
@@ -440,27 +442,6 @@ def _text_bags(questions: Iterable[Question],
     return np.array(rows, np.intp), _bags([positions_of(text) for text in text_rows])
 
 
-def _stored(items: Iterable[tuple[int, Question, Sequence[Question]]],
-            positions_of: Callable[[str], Sequence[int]]):
-    """(image keys, bags, window) of the examples of (image key, target,
-    extras) items, each its own unit, whose windows slice stored arrays."""
-    image_keys, questions, ptr = [], [], [0]
-    for image_key, target, extras in items:
-        image_keys.append(image_key)
-        questions += (target, *extras)
-        ptr.append(len(questions))
-    rows, bags = _text_bags(questions, positions_of)
-    heads = np.array(ptr[:-1], np.intp)  # where each example's target is listed
-    target_rows, extra_rows = rows[heads], np.delete(rows, heads)
-    extra_ptr = np.array(ptr, np.intp) - np.arange(len(ptr))
-
-    def window(part: np.ndarray):
-        lists, places = _segments(extra_ptr, part)
-        return part, [(np.arange(len(part)), target_rows[part]), (places, extra_rows[lists])]
-
-    return np.array(image_keys, np.intp), bags, window
-
-
 def _index_units(
     exemplars: Iterable[Exemplar] | ExemplarRows,
     features: Mapping[int, np.ndarray],
@@ -470,14 +451,11 @@ def _index_units(
 ) -> tuple[_Examples, int, np.ndarray, tuple[str, ...]]:
     """(examples, their number, labels of their units, answer vocabulary) of
     the exemplars whose answer is among the ``answer_vocab_size`` most frequent:
-    a unit is a kept table entry, which counts its rows, or Exemplar object."""
-    table = exemplars if isinstance(exemplars, ExemplarRows) else None
-    if table is not None:
-        weights = np.diff(table.ends)
-        answers = [table.questions[i].answer for i in (table.starts + table.targets).tolist()]
-    else:
-        exemplars = list(exemplars)
-        weights, answers = np.ones(len(exemplars), np.int64), [e.answer for e in exemplars]
+    a unit is a kept entry of their table, which counts its rows."""
+    table = (exemplars if isinstance(exemplars, ExemplarRows)
+             else ExemplarRows.from_exemplars(exemplars))
+    weights = np.diff(table.ends)
+    answers = [table.questions[i].answer for i in (table.starts + table.targets).tolist()]
     if not answers:
         raise NoTrainableExemplars("empty exemplar stream")
     answer_ids: dict[str, int] = {}
@@ -496,32 +474,22 @@ def _index_units(
     def positions_of(text: str) -> Sequence[int]:
         return token_positions(text, vocab, None if tokens is None else tokens[text])
 
-    if table is None:
-        image_keys, bags, window = _stored(((e.image_id, e.target_question, e.extra) for e, kept
-                                            in zip(exemplars, keep.tolist()) if kept), positions_of)
-    else:
-        table = table.select(keep)
-        image_keys = table.image_ids
-        # the questions of any row: a plain row has only its target; the extras
-        # of the other modes cover the target's image
-        used = ((table.starts + table.targets).tolist() if table.mode is AugmentMode.PLAIN
-                else range(len(table.questions)))
-        question_rows = np.zeros(len(table.questions), np.intp)
-        question_rows[used], bags = _text_bags(map(table.questions.__getitem__, used), positions_of)
-        target_rows = question_rows[table.starts + table.targets]
-
-        def window(part: np.ndarray):
-            entries, owners, extras = table.decode(part)
-            return entries, [(np.arange(len(part)), target_rows[entries]),
-                             (owners, question_rows[extras])]
-
-    image_ids, image_rows = np.unique(image_keys, return_inverse=True)
+    table = table.select(keep)
+    # the questions of any row: a plain row has only its target; the extras
+    # of the other modes cover the target's image
+    used = ((table.starts + table.targets).tolist() if table.mode is AugmentMode.PLAIN
+            else range(len(table.questions)))
+    question_rows = np.zeros(len(table.questions), np.intp)
+    question_rows[used], bags = _text_bags(map(table.questions.__getitem__, used), positions_of)
+    image_ids, image_rows = np.unique(table.image_ids, return_inverse=True)
     for image_id in image_ids.tolist():
         if image_id not in features:
             raise DanglingReference(f"no features for image {image_id}")
     vectors = [features[image_id] for image_id in image_ids.tolist()]
     images = l2_normalize(_image_matrix(vectors, np.shape(vectors[0])[0]))
-    return _Examples(images, image_rows, bags, window), n, labels[keep], answer_vocab
+    return (_Examples(images, image_rows, bags, table,
+                      question_rows[table.starts + table.targets], question_rows),
+            n, labels[keep], answer_vocab)
 
 
 def train(
@@ -534,12 +502,14 @@ def train(
 ) -> LinearModel:
     """Mini-batch SGD over the exemplars; deterministic given the seed.
 
-    ``exemplars`` are Exemplar objects or ExemplarRows; both give the same
-    model.  The answer vocabulary is the most frequent exemplar answers;
-    exemplars whose answer falls outside it are dropped, and the counts
-    are logged.  ``tokens``, when given, holds the tokens of every question
-    text.  ``on_epoch_end`` receives (epoch, full-dataset loss) after each
-    epoch when provided, computed ``batch_size`` examples at a time.
+    ``exemplars`` are ExemplarRows, or Exemplar objects, which train as
+    ``ExemplarRows.from_exemplars`` lays them out: a stream and the table of
+    the same exemplars give the same model.  The answer vocabulary is the
+    most frequent exemplar answers; exemplars whose answer falls outside it
+    are dropped, and the counts are logged.  ``tokens``, when given, holds
+    the tokens of every question text.  ``on_epoch_end`` receives (epoch,
+    full-dataset loss) after each epoch when provided, computed
+    ``batch_size`` examples at a time.
     """
     examples, n, labels, answer_vocab = _index_units(
         exemplars, features, vocab, config.answer_vocab_size, tokens)

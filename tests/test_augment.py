@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from qsup import augment
 from qsup.augment import (
     AugmentMode,
+    ExemplarRows,
     ImageRecord,
     exemplar_rows,
     generate_exemplars,
     simulate_answered_fraction,
     simulate_unanswered,
 )
-from qsup.errors import NoAnswered, TooManyExemplars, UnknownMode
+from qsup.errors import NoAnswered, NoTrainableExemplars, TooManyExemplars, UnknownMode
+from qsup.model import TrainConfig, train
 from qsup.qparse import Question
+from qsup.vocab import build_vocabulary
 
 
 def make_record(n_answered, n_unanswered, image_id=1):
@@ -210,6 +213,26 @@ class TestExemplarRows:
         want = [(e.image_id, e.target_question, e.extra) for r in records
                 for e in generate_exemplars(r, mode) if e.answer in vocabulary]
         assert decoded(kept, rows) == [want[r] for r in rows.tolist()]
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_exemplar_objects_decode_from_their_table(self, mode):
+        # texts repeat across images, and powerset rows list the target among its extras
+        records = [make_record(2, 1, image_id=7), make_record(1, 0, image_id=9),
+                   make_record(3, 2, image_id=10)]
+        exemplars = [e for r in records for e in generate_exemplars(r, mode)]
+        assert mode.value.startswith("powerset") == any(
+            e.target_question in e.extra for e in exemplars)
+        table = ExemplarRows.from_exemplars(iter(exemplars))
+        assert table.ends.tolist() == list(range(len(exemplars) + 1))  # one row each
+        assert decoded(table, np.arange(len(exemplars))) == [
+            (e.image_id, e.target_question, e.extra) for e in exemplars]
+
+    def test_an_empty_exemplar_stream_does_not_train(self):
+        table = ExemplarRows.from_exemplars(iter(()))
+        assert len(table.targets) == 0 and table.ends.tolist() == [0]
+        vocab = build_vocabulary(make_record(1, 0).all_questions)
+        with pytest.raises(NoTrainableExemplars, match="^empty exemplar stream$"):
+            train(iter(()), {}, vocab, TrainConfig())
 
     def test_no_answered_records_give_no_rows(self):
         rows = exemplar_rows([ImageRecord(1, (), make_record(0, 2).unanswered)], "powerset")

@@ -670,6 +670,9 @@ CONTRACT_CASES = {
     "train_config_text_train_seed": (_train_fields(seed="x"), 2),
     "train_config_nan_learning_rate": (_train_fields(learning_rate=float("nan")), 2),
     "train_config_negative_seed": (lambda b: _run_config_with(b, seed=-1), 2),
+    # 11 words at 10**13 dims: an 800 TiB first table, past the 128 TiB user address
+    # space, so its allocation fails before any byte is written on any machine
+    "train_config_embed_dim_past_memory": (_train_fields(embed_dim=10**13), 2),
     "extract_non_utf8_manifest": (_non_utf8_manifest, 2),
     "eval_vqa_no_answered_question": (
         lambda b: ["eval", "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),

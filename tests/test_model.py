@@ -874,6 +874,20 @@ class TestExemplarRowsTraining:
             assert np.array_equal(from_objects.parameters()[name], param), name
         assert losses["rows"] == losses["objects"] and len(losses["rows"]) == 2
 
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_exemplar_objects_of_an_image_past_64_bits_train_as_its_rows(self, mode):
+        records, features, vocab = oov_setup()
+        big = 2**70
+        records = [ImageRecord(big if r.image_id == 2 else r.image_id, r.answered, r.unanswered)
+                   for r in records]
+        features[big] = features.pop(2)
+        stream = itertools.chain.from_iterable(generate_exemplars(r, mode)
+                                               for r in records if r.answered)
+        from_objects = train(stream, features, vocab, OOV_CONFIG)
+        from_rows = train(exemplar_rows(records, mode), features, vocab, OOV_CONFIG)
+        for name, param in from_rows.parameters().items():
+            assert np.array_equal(from_objects.parameters()[name], param), name
+
     def test_train_logs_generated_kept_and_dropped(self, caplog):
         records, features, vocab = oov_setup()
         with caplog.at_level(logging.INFO, logger="qsup.model"):
