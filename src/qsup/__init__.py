@@ -18,7 +18,7 @@ _EXPORTS = {name: module for module, names in {
     "augment": "Exemplar ImageRecord generate_exemplars",
     "evalstats": "AccuracyReport AnswerType PrReport bootstrap_ci classify_answer_type fuse_max "
                  "mean_average_precision per_class_pr vqa_accuracy",
-    "model": "FeatureBlock LinearModel TrainConfig forward loss_and_grad predict predict_batch "
+    "model": "FeatureBlock LinearModel TrainConfig forward loss_and_grad predict "
              "predict_multiple_choice train",
     "modes": "AugmentMode WordTargetMode",
     "qparse": "LabelSet ObjectVocabulary Question QuestionType QuestionTypeTable "

@@ -394,7 +394,7 @@ def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[i
     row, or with ``refs`` only the rows whose ids it names (ids it names that
     the file lacks are absent).  Every row is checked either way: a repeated
     id, kept or not, and a file shorter or longer than its header declares
-    are faults."""
+    are faults, and so is a kept row holding NaN or an infinity."""
     import numpy as np
     wanted = None if refs is None else set(refs)
     with open(path, "rb") as fh:
@@ -416,7 +416,12 @@ def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[i
             ids[lo : lo + len(rows)] = rows[:, :8].view("<u8")[:, 0]
             block = ids[lo : lo + len(rows)].tolist()
             keep = [j for j, i in enumerate(block) if wanted is None or i in wanted]
-            table.update(zip(map(block.__getitem__, keep), rows[keep, 8:].view("<f4")))
+            kept = rows[keep, 8:].view("<f4")
+            bad = ~np.isfinite(kept).all(axis=1)
+            if bad.any():
+                image_id = block[keep[bad.argmax()]]
+                raise ParseError(f"{path}: image {image_id}: non-finite feature value")
+            table.update(zip(map(block.__getitem__, keep), kept))
         firsts = np.unique(ids, return_index=True)[1]
         if len(firsts) < whole:  # name the first id seen twice
             repeats = np.ones(whole, bool)
@@ -456,7 +461,8 @@ def load_model(path: str | Path) -> LinearModel:
     float32 values, read straight into their arrays, and the fc weights and
     bias as float64 copies of theirs; float32 -> float64 is exact, so every
     product sees the doubles it would have seen on a float64 copy, and
-    save -> load -> save is byte-identical."""
+    save -> load -> save is byte-identical.  A NaN or infinite parameter is
+    a fault."""
     import numpy as np
     from .model import LinearModel
     with open(path, "rb") as fh:
@@ -485,9 +491,12 @@ def load_model(path: str | Path) -> LinearModel:
             raise ParseError(f"{path}: file goes on after the fc bias")
     try:
         answer_vocab = tuple(raw.decode("utf-8") for raw in answers)
-        return LinearModel(embed_target, embed_extra, fc_weights, fc_bias, answer_vocab)
+        model = LinearModel(embed_target, embed_extra, fc_weights, fc_bias, answer_vocab)
     except ValueError as exc:  # undecodable (UnicodeDecodeError) or repeated answers
         raise ParseError(f"{path}: {exc}") from exc
+    if not model.storable():
+        raise ParseError(f"{path}: non-finite parameter values")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ class NoTrainableExemplars(QsupError):
     """No exemplars survive answer-vocabulary filtering."""
 
 
+class Diverged(QsupError):
+    """Training left parameters outside the float32 range the model file stores."""
+
+
 # -- evaluation ---------------------------------------------------------------
 
 class EmptyAnswer(QsupError):

@@ -21,11 +21,10 @@ of words in the batch.  Predict goes a window of whole images at a time:
 each question's row is embedded once under each embedding, a question's raw
 extra block is its image's total less its own row (O(k) for k questions),
 and the image term W_img @ img + b is computed once per image and added to
-each question's text term.  ``predict_batch`` answers an example with any
-extras as the image [target, *extras] of which only the target is asked.
-The one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``)
-gives block i of a batch of n bag row i as its target and row n + i as
-extras.
+each question's text term.  ``predict`` is one group [target, *extras] of
+that road, answering its target.  The one-example API (``FeatureBlock``,
+``forward``, ``loss_and_grad``) gives block i of a batch of n bag row i as
+its target and row n + i as extras.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .augment import AugmentMode, Exemplar, ExemplarRows
 from .errors import (
     DanglingReference,
     DimMismatch,
+    Diverged,
     EmptyBatch,
     NoTrainableExemplars,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "build_answer_vocab",
     "train",
     "predict",
-    "predict_batch",
     "predict_images",
     "predict_multiple_choice",
 ]
@@ -129,6 +128,12 @@ class LinearModel:
             "fc_weights": self.fc_weights,
             "fc_bias": self.fc_bias,
         }
+
+    def storable(self) -> bool:
+        """Whether every parameter is within the float32 range the file stores (NaN is not)."""
+        limit = float(np.finfo(np.float32).max)
+        return all(-limit <= p.min(initial=0) and p.max(initial=0) <= limit
+                   for p in self.parameters().values())
 
 
 @dataclass(frozen=True)
@@ -508,8 +513,8 @@ def train(
     most frequent exemplar answers; exemplars whose answer falls outside it
     are dropped, and the counts are logged.  ``tokens``, when given, holds
     the tokens of every question text.  ``on_epoch_end`` receives (epoch,
-    full-dataset loss) after each epoch when provided, computed
-    ``batch_size`` examples at a time.
+    full-dataset loss) after each epoch, computed ``batch_size`` examples at
+    a time.  An epoch that leaves a parameter past float32 range raises Diverged.
     """
     examples, n, labels, answer_vocab = _index_units(
         exemplars, features, vocab, config.answer_vocab_size, tokens)
@@ -529,21 +534,21 @@ def train(
 
     lr = config.learning_rate
     for epoch in range(config.epochs):
-        for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
-            _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
-            # each gradient is a fresh array, so it is scaled in place
-            d_weights *= lr
-            model.fc_weights -= d_weights
-            d_bias *= lr
-            model.fc_bias -= d_bias
-            for embedding, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):
-                grad *= lr
-                embedding[words] -= grad
-            # so that no two steps' fc-sized gradients are alive at once
-            del d_weights, d_bias, embeds, batch
-        for param in model.parameters().values():
-            if not np.isfinite(param).all():
-                raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+        with np.errstate(over="ignore", invalid="ignore"):  # storable() below reports divergence
+            for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
+                _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
+                # each gradient is a fresh array, so it is scaled in place
+                d_weights *= lr
+                model.fc_weights -= d_weights
+                d_bias *= lr
+                model.fc_bias -= d_bias
+                for table, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):
+                    grad *= lr
+                    table[words] -= grad
+                # so that no two steps' fc-sized gradients are alive at once
+                del d_weights, d_bias, embeds, batch
+        if not model.storable():
+            raise Diverged(f"training diverged in epoch {epoch + 1}: parameters past float32 range")
         if on_epoch_end is not None:
             nll = 0.0
             for idx, batch in _batches(examples, np.arange(n), config.batch_size):
@@ -557,11 +562,16 @@ def train(
 # inference
 
 
-def _predict(model: LinearModel, vocab: Vocabulary, groups: Iterable[tuple],
-             use_extras: bool, size: int) -> Iterator[tuple[str, np.ndarray]]:
-    """(answer, probs) of the first ``asked`` (at least one) questions of each (image
-    vector, questions, asked) group, indexed in windows of whole groups that ask about
-    ``size``; with ``use_extras`` a raw extra block is the group's total less its own row."""
+def predict_images(
+    model: LinearModel,
+    vocab: Vocabulary,
+    groups: Iterable[tuple[np.ndarray, Sequence[Question]]],
+    use_extras: bool,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Generate ``predict`` results for every question of each (image_feat,
+    questions) group in turn, in windows of whole groups of about _PREDICT_WINDOW
+    questions; with ``use_extras`` a question's raw extra block is its group's
+    total less its own row.  Each distinct text is tokenized once per call."""
     if len(vocab) != model.vocab_size:
         raise DimMismatch(f"vocabulary of {len(vocab)} words vs {model.vocab_size} embedding rows")
     d_img, d_t, _, _ = model.dims
@@ -569,29 +579,27 @@ def _predict(model: LinearModel, vocab: Vocabulary, groups: Iterable[tuple],
     w_text = w_text if use_extras else w_text[:, :d_t]  # without extras, that block is zero
     embeddings = (model.embed_target, model.embed_extra)[: 1 + use_extras]
     positions_of = functools.cache(functools.partial(token_positions, vocab=vocab))
-    before = 0  # questions asked before the group
+    before = 0  # questions before the group
 
     def window_of(group) -> int:
         nonlocal before
-        before += group[2]
-        return (before - group[2]) // size
+        before += len(group[1])
+        return (before - len(group[1])) // _PREDICT_WINDOW
 
-    for _, window in itertools.groupby(groups, window_of):
+    for _, window in itertools.groupby((g for g in groups if g[1]), window_of):
         window = list(window)
-        images = l2_normalize(_image_matrix([image for image, _, _ in window], d_img))
+        images = l2_normalize(_image_matrix([image for image, _ in window], d_img))
         image_terms = images @ w_img.T + model.fc_bias  # once per image
-        rows, bags = _text_bags((q for _, questions, _ in window for q in questions), positions_of)
+        rows, bags = _text_bags((q for _, questions in window for q in questions), positions_of)
         # each question's row embedded once under each embedding, from one count matrix per pass
         passes = list(_count_matrices(bags, np.arange(len(rows)), rows, len(rows), _EMBED_PASS))
         raw = [np.concatenate([counts @ _rows(e, words) for words, counts in passes])
                for e in embeddings]
-        sizes, asked = np.array([(len(questions), n) for _, questions, n in window]).T
-        owners = np.repeat(np.arange(len(window)), asked)
-        heads = np.cumsum(sizes) - sizes  # where each group's questions start
-        picked = np.arange(len(owners)) + np.repeat(heads - np.cumsum(asked) + asked, asked)
-        totals = np.add.reduceat(raw[-1], heads) if use_extras else None
-        for lo in range(0, len(picked), _PREDICT_PASS):
-            own, units = picked[lo : lo + _PREDICT_PASS], owners[lo : lo + _PREDICT_PASS]
+        sizes = np.array([len(questions) for _, questions in window])
+        owners = np.repeat(np.arange(len(window)), sizes)
+        totals = np.add.reduceat(raw[-1], np.cumsum(sizes) - sizes) if use_extras else None
+        for lo in range(0, len(rows), _PREDICT_PASS):
+            own, units = slice(lo, lo + _PREDICT_PASS), owners[lo : lo + _PREDICT_PASS]
             blocks = [raw[0][own], totals[units] - raw[1][own]] if use_extras else [raw[0][own]]
             x = np.concatenate([_normalize_rows(block)[0] for block in blocks], axis=1)
             z = x @ w_text.T
@@ -601,19 +609,6 @@ def _predict(model: LinearModel, vocab: Vocabulary, groups: Iterable[tuple],
             yield from zip([model.answer_vocab[k] for k in labels], probs)
 
 
-def predict_images(
-    model: LinearModel,
-    vocab: Vocabulary,
-    groups: Iterable[tuple[np.ndarray, Sequence[Question]]],
-    use_extras: bool,
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Generate ``predict`` results for every question of each (image_feat,
-    questions) group in turn; with ``use_extras`` a question's extras are the
-    other questions of its group.  Each distinct text is tokenized once per call."""
-    asked = ((image, questions, len(questions)) for image, questions in groups if questions)
-    return _predict(model, vocab, asked, use_extras, _PREDICT_WINDOW)
-
-
 def predict(
     model: LinearModel,
     vocab: Vocabulary,
@@ -621,26 +616,11 @@ def predict(
     target_q: Question,
     extra_qs: Sequence[Question] | None = None,
 ) -> tuple[str, np.ndarray]:
-    """Most probable answer and the full probability vector.
-
-    Absent or empty ``extra_qs`` leave the extra block at the zero vector,
-    the standard single-question test protocol.  Provided extra questions
-    are concatenated into one string before featurization.
-    """
-    return next(predict_batch(model, vocab, [(image_feat, target_q, extra_qs)]))
-
-
-def predict_batch(
-    model: LinearModel,
-    vocab: Vocabulary,
-    examples: Iterable[tuple[np.ndarray, Question, Sequence[Question] | None]],
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Generate ``predict`` results for (image_feat, target_q, extra_qs)
-    examples in order, each the group [target_q, *extra_qs] asking its target,
-    in windows of _PREDICT_PASS examples: a stream and its slices at multiples
-    of that give the same bits.  Each distinct text is tokenized once per call."""
-    groups = ((image, [target, *(extras or ())], 1) for image, target, extras in examples)
-    return _predict(model, vocab, groups, True, _PREDICT_PASS)
+    """Most probable answer and the full probability vector of one example,
+    the ``predict_images`` group [target_q, *extra_qs]: the extras' bag rows
+    are summed into the extra block, which absent or empty ``extra_qs`` leave
+    at zero, the standard single-question test protocol."""
+    return next(predict_images(model, vocab, [(image_feat, [target_q, *(extra_qs or ())])], True))
 
 
 def predict_multiple_choice(

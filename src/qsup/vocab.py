@@ -100,9 +100,8 @@ def build_vocabulary(
         raise EmptyCorpus("cannot build a vocabulary from zero questions")
     counts = Counter()
     for text, n in Counter(q.text for q in corpus).items():
-        toks = tokenize(text) if tokens is None else tokens[text]
-        for _ in range(n):
-            counts.update(toks)
+        for tok in tokenize(text) if tokens is None else tokens[text]:
+            counts[tok] += n
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
         key=lambda w: (-counts[w], w),

@@ -540,6 +540,27 @@ def _predict_without_features_of(image_id):
     return build
 
 
+def _features_with_nan(base, image_id):
+    """pair_setup's feature file with one value of ``image_id``'s row NaN; its name."""
+    table = dataio.load_features(base / "feats.qvft")
+    table[image_id] = np.where(np.arange(len(table[image_id])) == 1, np.nan, table[image_id])
+    save_features(table, base / "nan.qvft")
+    return "nan.qvft"
+
+
+def _predict_with_nan_features_of(image_id):
+    def build(base):
+        argv = _predict_with([b"yes", b"no"])(base)
+        argv[argv.index("--features") + 1] = str(base / _features_with_nan(base, image_id))
+        return argv
+    return build
+
+
+def _nan_bias(raw):
+    """A model file whose last fc bias value is NaN."""
+    return raw[:-4] + struct.pack("<f", float("nan"))
+
+
 def _predict_with_wide_features(base):
     """predict with pair_setup's features widened by one dimension."""
     table = dataio.load_features(base / "feats.qvft")
@@ -715,6 +736,11 @@ CONTRACT_CASES = {
     "train_image_without_features": (
         lambda b: _run_config_with(b, features=_features_without(b, 59)), 2),
     "predict_image_without_features": (_predict_without_features_of(59), 2),
+    "train_nan_feature_value": (
+        lambda b: _run_config_with(b, features=_features_with_nan(b, 59)), 2),
+    "predict_nan_feature_value": (_predict_with_nan_features_of(59), 2),
+    "train_diverging_learning_rate": (_train_fields(learning_rate=1e300), 2),
+    "predict_model_nan_parameter": (_predict_with_cut_file("--model", _nan_bias), 2),
     "predict_vocab_size_mismatch": (_predict_with([b"yes", b"no"], b"what\ncolor\n"), 2),
     "predict_feature_dim_mismatch": (_predict_with_wide_features, 2),
     "bootstrap_negative_seed": (
@@ -749,7 +775,8 @@ CONTRACT_CASES = {
                                         ("predict_model_bytes_past_bias", "--model"),
                                         ("predict_model_embedding_past_file_end", "--model"),
                                         ("predict_model_dims_at_u32_max", "--model"),
-                                        ("predict_features_dim_past_file_end", "--features")])
+                                        ("predict_features_dim_past_file_end", "--features"),
+                                        ("predict_model_nan_parameter", "--model")])
 def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
     argv = CONTRACT_CASES[case][0](pair_setup)
     assert main(argv) == 2
@@ -763,6 +790,22 @@ def test_missing_features_name_the_image_before_any_output(case, pair_setup, cap
     assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
     assert capsys.readouterr().err == "qsup: error: image 59: no features under ref 59\n"
     assert not (pair_setup / "p.jsonl").exists()
+    assert not (pair_setup / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["train_nan_feature_value", "predict_nan_feature_value"])
+def test_non_finite_features_name_the_file_and_image_before_any_output(case, pair_setup, capsys):
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    err = capsys.readouterr().err
+    assert err == f"qsup: error: {pair_setup / 'nan.qvft'}: image 59: non-finite feature value\n"
+    assert not (pair_setup / "p.jsonl").exists()
+    assert not (pair_setup / "out").exists()
+
+
+def test_diverged_training_names_the_epoch_and_saves_no_model(pair_setup, capsys):
+    assert main(CONTRACT_CASES["train_diverging_learning_rate"][0](pair_setup)) == 2
+    err = capsys.readouterr().err
+    assert err == "qsup: error: training diverged in epoch 1: parameters past float32 range\n"
     assert not (pair_setup / "out").exists()
 
 

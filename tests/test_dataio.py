@@ -251,6 +251,16 @@ class TestFeatureFile:
                 read(path)
             assert (type(caught.value), str(caught.value)) == expected
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_kept_row_with_a_non_finite_value_is_named(self, tmp_path, bad):
+        path = tmp_path / "feats.qvft"
+        save_features({1: np.ones(3), 2: np.array([0.5, bad, 1.0]), 3: np.zeros(3)}, path)
+        for read in (load_features, lambda p: load_features(p, [3, 2])):
+            with pytest.raises(ParseError) as caught:
+                read(path)
+            assert str(caught.value) == f"{path}: image 2: non-finite feature value"
+        assert sorted(load_features(path, [1, 3])) == [1, 3]  # only kept rows are values
+
     def test_a_ref_the_file_lacks_is_a_dangling_reference(self, tmp_path):
         path = tmp_path / "feats.qvft"
         save_features({1: np.zeros(2), 2: np.ones(2)}, path)
@@ -329,6 +339,16 @@ class TestModelFile:
         path = tmp_path / "m.qsmd"
         path.write_bytes(b"JUNK" + b"\x00" * 30)
         with pytest.raises(BadMagic):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, bad", [("embed_target", np.nan), ("embed_extra", -np.inf),
+                                           ("fc_weights", np.inf), ("fc_bias", np.nan)])
+    def test_a_non_finite_parameter_is_a_parse_error(self, tmp_path, name, bad):
+        model = toy_model()
+        model.parameters()[name].flat[-1] = bad
+        path = tmp_path / "m.qsmd"
+        save_model(model, path)
+        with pytest.raises(ParseError, match="m.qsmd: non-finite parameter values$"):
             load_model(path)
 
     def test_loaded_model_predicts_like_saved_one(self, tmp_path):

@@ -21,7 +21,7 @@ PACKAGE_NAMES = {
                   "classify_answer_type", "fuse_max", "mean_average_precision", "per_class_pr",
                   "vqa_accuracy"],
     "model": ["FeatureBlock", "LinearModel", "TrainConfig", "forward", "loss_and_grad", "predict",
-              "predict_batch", "predict_multiple_choice", "train"],
+              "predict_multiple_choice", "train"],
     "qparse": ["LabelSet", "ObjectVocabulary", "Question", "QuestionType", "QuestionTypeTable",
                "classify_question_type", "default_object_vocabulary", "default_question_types",
                "extract_objects", "extract_objects_multi", "normalize_token", "tokenize"],

@@ -18,7 +18,7 @@ import qsup.model as model_module
 import qsup.vocab as vocab_module
 from qsup.augment import AugmentMode, ImageRecord, exemplar_rows, generate_exemplars
 from qsup.dataio import load_model, save_model
-from qsup.errors import DimMismatch, EmptyBatch, NoTrainableExemplars
+from qsup.errors import DimMismatch, Diverged, EmptyBatch, NoTrainableExemplars
 from qsup.model import (
     FeatureBlock,
     LinearModel,
@@ -30,7 +30,6 @@ from qsup.model import (
     loss_and_grad,
     make_feature_block,
     predict,
-    predict_batch,
     predict_images,
     predict_multiple_choice,
     train,
@@ -222,6 +221,21 @@ class TestTrain:
                           answer_vocab_size=4, weight_init_scale=0.01, embed_dim=16)
         model = train(exemplars, features, vocab, cfg)
         assert answer_accuracy(model, vocab, records, features) >= 0.99
+
+    def test_a_diverging_run_names_its_epoch(self):
+        records, features, vocab, exemplars = separable_setup(40)
+        cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=8, seed=11,
+                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=4)
+        with pytest.raises(Diverged, match=r"^training diverged in epoch 1: "):
+            train(exemplars, features, vocab, cfg)
+
+    @pytest.mark.parametrize("bias, storable", [
+        (3.4e38, True), (-3.4e38, True), (3.5e38, False), (-3.5e38, False),
+        (np.inf, False), (np.nan, False)])
+    def test_storable_is_the_float32_range(self, bias, storable):
+        model = random_model(np.random.default_rng(12))
+        model.fc_bias[1] = bias
+        assert model.storable() is storable
 
     def test_zero_learning_rate_keeps_init(self):
         records, features, vocab, exemplars = separable_setup(40)
@@ -428,27 +442,7 @@ class TestSparseBatchedPath:
             for name, ref in ref_grads.items():
                 np.testing.assert_allclose(getattr(grads, name), ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("with_extras", [False, True])
-    def test_predict_batch_matches_predict(self, with_extras):
-        rng = np.random.default_rng(52)
-        words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
-        vocab = Vocabulary(words)
-        model = random_model(rng, v=len(words), answers=("a", "b", "c", "d", "e"))
-        examples = []
-        for i in range(150):
-            text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
-            extras = None
-            if with_extras and i % 4:
-                extras = [Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))]
-            examples.append((rng.normal(size=4), Question(f"q{i}", i, text), extras))
-        batched = list(predict_batch(model, vocab, examples))
-        assert len(batched) == len(examples)
-        for example, (answer, probs) in zip(examples, batched):
-            one_answer, one_probs = predict(model, vocab, *example)
-            assert answer == one_answer
-            np.testing.assert_allclose(probs, one_probs, rtol=0, atol=1e-12)
-
-    def test_predict_batch_equals_forward_on_feature_blocks(self):
+    def test_predict_equals_forward_on_feature_blocks(self):
         rng = np.random.default_rng(61)
         words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
         vocab = Vocabulary(words)
@@ -456,68 +450,16 @@ class TestSparseBatchedPath:
         # objects shared across examples; s0 and s2 are one text under two objects
         shared = [Question("s0", 0, "what is the red cat"), Question("s1", 0, "is the dog left"),
                   Question("s2", 0, "what is the red cat")]
-        examples = []
-        for i in range(150):  # three 64-example chunks
+        for i in range(150):
             text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
             target = shared[i % 3] if i % 4 == 0 else Question(f"q{i}", i, text)
             own = Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))
             extras = (None, [], [shared[0], shared[2]], [shared[1], own], [own])[i % 5]
-            examples.append((rng.normal(size=4), target, extras))
-        batched = list(predict_batch(model, vocab, examples))
-        assert len(batched) == len(examples)
-        for (image, target, extras), (answer, probs) in zip(examples, batched):
+            image = rng.normal(size=4)
+            answer, probs = predict(model, vocab, image, target, extras)
             want = forward(model, make_feature_block(vocab, image, target, extras))
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert answer == model.answer_vocab[int(np.argmax(want))]
-
-    def test_predict_batch_over_windows_matches_predict_and_64_example_slices(self, monkeypatch):
-        rng = np.random.default_rng(73)
-        words = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
-        vocab = Vocabulary(words)
-        model = random_model(rng, v=len(words), answers=("a", "b", "c", "d", "e"))
-        # objects shared by every window, and so across each window boundary
-        shared = [Question("s0", 0, "what is the red cat"), Question("s1", 0, "is the dog left"),
-                  Question("s2", 0, "what is the red cat")]
-        examples = []
-        for i in range(600):  # windows of 256, 256 and 88 examples
-            text = " ".join(rng.choice(words + ["unseen"], size=int(rng.integers(1, 5))))
-            target = shared[i % 3] if i % 5 == 0 or 254 <= i < 258 else Question(f"q{i}", i, text)
-            own = Question(f"x{i}", i, " ".join(rng.choice(words, size=3)))
-            extras = (None, [], [shared[0], shared[2]], [shared[1], own], [own])[i % 5]
-            examples.append((rng.normal(size=4), target, extras))
-        texts = {q.text for _, target, extras in examples for q in [target, *(extras or ())]}
-        calls = Counter()
-
-        def counting_tokenize(text):
-            calls[text] += 1
-            return tokenize(text)
-
-        monkeypatch.setattr(vocab_module, "tokenize", counting_tokenize)
-        batched = list(predict_batch(model, vocab, examples))
-        assert set(calls) == texts
-        assert max(calls.values()) == 1
-        monkeypatch.undo()
-
-        assert len(batched) == len(examples)
-        for example, (answer, probs) in zip(examples, batched):
-            one_answer, one_probs = predict(model, vocab, *example)
-            assert answer == one_answer
-            np.testing.assert_allclose(probs, one_probs, rtol=0, atol=1e-12)
-        for lo in range(0, len(examples), 64):
-            for (answer, probs), (one_answer, one_probs) in zip(
-                    batched[lo : lo + 64], predict_batch(model, vocab, examples[lo : lo + 64])):
-                assert answer == one_answer
-                assert np.array_equal(probs, one_probs)
-
-    def test_predict_batch_checks_the_vocabulary_size_before_reading_examples(self):
-        model = random_model(np.random.default_rng(74), v=5)
-
-        def unread():
-            raise AssertionError("an example was read")
-            yield
-
-        with pytest.raises(DimMismatch, match=r"vocabulary of 3 words vs 5 embedding rows"):
-            next(predict_batch(model, Vocabulary(["what", "is", "red"]), unread()))
 
     @given(st.lists(st.lists(st.sampled_from(["what", "is", "red", "cat", "zebra", "unseen"]),
                              max_size=8), max_size=6))
@@ -674,6 +616,55 @@ class TestPredictImages:
             np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
 
 
+    def test_the_vocabulary_size_is_checked_before_any_group_is_read(self):
+        model = random_model(np.random.default_rng(74), v=5)
+
+        def unread():
+            raise AssertionError("a group was read")
+            yield
+
+        with pytest.raises(DimMismatch, match=r"vocabulary of 3 words vs 5 embedding rows"):
+            next(predict_images(model, Vocabulary(["what", "is", "red"]), unread(), True))
+
+    @pytest.mark.parametrize("use_extras", [True, False])
+    def test_each_distinct_text_is_tokenized_once_per_call(self, monkeypatch, use_extras):
+        rng = np.random.default_rng(85)
+        vocab = Vocabulary(self.WORDS)
+        model = random_model(rng, v=len(self.WORDS), answers=tuple("abcde"))
+        # texts shared by every group, and so across each window boundary
+        shared = ["what is the red cat", "is the dog left", "what is the red cat"]
+        groups = [(rng.normal(size=4),
+                   [Question(f"q{i}_{j}", i, t) for j, t in enumerate(
+                       shared + [" ".join(rng.choice(self.WORDS + ["unseen"], 4)) for _ in "ab"])])
+                  for i in range(60)]  # 300 questions: windows of 130, 130 and 40
+        texts = {q.text for _, questions in groups for q in questions}
+        calls, windows = Counter(), []
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        def recording(questions, positions_of):
+            questions = list(questions)
+            windows.append(len(questions))
+            return text_bags(questions, positions_of)
+
+        text_bags = model_module._text_bags
+        monkeypatch.setattr(vocab_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(model_module, "_text_bags", recording)
+        got = list(predict_images(model, vocab, groups, use_extras))
+        assert windows == [130, 130, 40]
+        assert set(calls) == texts
+        assert max(calls.values()) == 1
+        monkeypatch.undo()
+        assert len(got) == 300
+        for i in (25, 26):  # the last group of the first window and the first of the second
+            image, questions = groups[i]
+            want = self.reference(model, vocab, image, questions, use_extras)
+            for (_, probs), ref in zip(got[5 * i : 5 * i + 5], want):
+                np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
+
+
 def shared_text_setup():
     """Two images whose questions share words, repeat a text under another
     id and, in powerset mode, include exemplars with no extras."""
@@ -808,11 +799,9 @@ class TestQuestionRows:
         assert max(calls.values()) == 1
 
         calls.clear()
-        examples = [
-            (features[r.image_id], q, [x for x in r.all_questions if x.id != q.id])
-            for r in images for q in r.all_questions
-        ] * 30  # 180 examples: one window, three forward passes
-        assert len(list(predict_batch(model, vocab, examples))) == len(examples)
+        # 180 questions: windows of 129 and 51, both holding every text
+        groups = [(features[r.image_id], list(r.all_questions)) for r in images] * 30
+        assert len(list(predict_images(model, vocab, groups, True))) == 180
         assert set(calls) == texts
         assert max(calls.values()) == 1
 

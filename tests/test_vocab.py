@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(corpus_from(texts), min_count=1)
         assert set(vocab.words) == {"red", "cat", "blue", "dog"}
         assert vocab.words[0] == "dog"  # highest frequency first
+
+    @given(st.lists(st.sampled_from(["red cat", "Cat, red!", "blue dog dog", "a", "the the the"]),
+                    min_size=1, max_size=20), st.integers(1, 4))
+    def test_counts_are_those_of_every_question(self, texts, min_count):
+        counts = Counter(tok for text in texts for tok in tokenize(text))
+        want = sorted((w for w, c in counts.items() if c >= min_count), key=lambda w: (-counts[w], w))
+        assert build_vocabulary(corpus_from(texts), min_count).words == tuple(want)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
