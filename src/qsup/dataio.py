@@ -34,6 +34,7 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
+from .modes import AugmentMode
 from .qparse import Question, read_text, write_lines
 
 if TYPE_CHECKING:  # the feature and model files, and the run config, import these where used
@@ -516,10 +517,20 @@ class RunConfig:
     min_count: int = 1
 
 
+# the top-level keys of a run config; types and object_vocab, of older configs, are not read
+_RUN_CONFIG_KEYS = ("dataset", "features", "seed", "out_dir", "vocab", "augment_mode",
+                    "min_count", "train", "types", "object_vocab")
+_AUGMENT_MODES = tuple(m.value for m in AugmentMode)
+_AUGMENT_MODE = (lambda v: v in _AUGMENT_MODES, "one of " + ", ".join(_AUGMENT_MODES))
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     from .model import TrainConfig
     payload = _read_json(path)
     base = Path(path).parent
+    for key in payload:
+        if key not in _RUN_CONFIG_KEYS:
+            raise ParseError(f"{path}: unknown field {key!r}")
 
     def resolve(key: str, required: bool = True) -> Path | None:
         value = _field(payload, key, _STR, path, _REQUIRED if required else None)
@@ -551,7 +562,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         features=resolve("features"),
         out_dir=resolve("out_dir", required=False) or base / "out",
         train=train_cfg,
-        augment_mode=_field(payload, "augment_mode", _STR, path, "powerset"),
+        augment_mode=_field(payload, "augment_mode", _AUGMENT_MODE, path, "powerset"),
         vocab=resolve("vocab", required=False),
         min_count=_field(payload, "min_count", _POSITIVE, path, 1),
     )

@@ -13,18 +13,18 @@ space never merges tokens, and a count matrix gathers rows over just the
 words they use.  ``train`` decodes examples (an image row, the target's bag
 row, the extras' bag rows) a window at a time from an ``augment.ExemplarRows``
 table, which Exemplar objects are laid out as first, so memory does not grow
-with the number of exemplars the table describes; one batched forward pass
-serves training and the full-data loss.  Training is plain mini-batch SGD
-with analytic gradients, including the Jacobian of the L2 normalization
-applied to the two text blocks; each step updates only the embedding rows
-of words in the batch.  Predict goes a window of whole images at a time:
-each question's row is embedded once under each embedding, a question's raw
-extra block is its image's total less its own row (O(k) for k questions),
-and the image term W_img @ img + b is computed once per image and added to
-each question's text term.  ``predict`` is one group [target, *extras] of
-that road, answering its target.  The one-example API (``FeatureBlock``,
-``forward``, ``loss_and_grad``) gives block i of a batch of n bag row i as
-its target and row n + i as extras.
+with the number of exemplars the table describes.  One batched forward pass,
+``_forward``, serves training, the full-data loss and predict.  Training is
+plain mini-batch SGD with analytic gradients, including the Jacobian of the
+L2 normalization applied to the two text blocks; each step updates only the
+embedding rows of words in the batch.  Predict goes a window of whole images
+at a time: each question's row is embedded once under each embedding, a
+question's raw extra block is its image's total less its own row (O(k) for k
+questions), and the image term W_img @ img + b, computed once per image, is
+the offset of its questions' forward pass over a zero-width image block.
+``predict`` is one group [target, *extras] of that road, answering its
+target.  The one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``)
+gives block i of a batch of n bag row i as its target and row n + i as extras.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -70,6 +71,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the model file stores float32
 _PREDICT_PASS = 64  # questions per predict forward pass; bounds its memory
 _PREDICT_WINDOW = 2 * _PREDICT_PASS  # questions indexed at a time by predict_images
 _EMBED_PASS = 16  # questions per count matrix in predict; fewer words, fewer zero products
@@ -131,8 +133,7 @@ class LinearModel:
 
     def storable(self) -> bool:
         """Whether every parameter is within the float32 range the file stores (NaN is not)."""
-        limit = float(np.finfo(np.float32).max)
-        return all(-limit <= p.min(initial=0) and p.max(initial=0) <= limit
+        return all(-_FLOAT32_MAX <= p.min(initial=0) and p.max(initial=0) <= _FLOAT32_MAX
                    for p in self.parameters().values())
 
 
@@ -171,14 +172,15 @@ class TrainConfig:
     embed_dim: int = 256
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # NaN fails every comparison; Python compares a JSON integer past float range exactly
+        if not 0 <= self.learning_rate <= sys.float_info.max:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.answer_vocab_size < 1 or self.embed_dim < 1:
             raise ValueError("answer_vocab_size and embed_dim must be >= 1")
-        if self.weight_init_scale < 0:
-            raise ValueError("weight_init_scale must be >= 0")
+        if not 0 <= self.weight_init_scale <= _FLOAT32_MAX:
+            raise ValueError("weight_init_scale must be in [0, float32 max]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")  # numpy seeds are non-negative
 
@@ -302,13 +304,6 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / np.where(norms > _NORM_EPS, norms, 1.0), norms
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Rows (last axis) of logits ``z`` turned into log-probabilities, in place."""
-    z -= z.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z
-
-
 def _rows(embedding: np.ndarray, words: np.ndarray) -> np.ndarray:
     """The embedding rows at ``words`` as float64 (a float32 table's widened exactly)."""
     return embedding[words].astype(np.float64, copy=False)
@@ -341,18 +336,27 @@ def make_feature_block(
     )
 
 
-def _forward(model: LinearModel, batch):
-    """(log_probs, x, norms) for a batch from ``_batches``: x is the
-    concatenated normalized input and norms holds the raw norms of each
-    text block."""
+def _forward(model: LinearModel, images: np.ndarray, raws: Sequence[np.ndarray], offset):
+    """(log_probs, x, norms) of the one forward pass of training, the full-data
+    loss and predict: x is ``images`` then each raw text block of ``raws``
+    L2-normalized, norms their raw norms; the logits are x times the fc columns
+    of those blocks, from column d_img - images.shape[1], plus ``offset``."""
+    normed, norms = zip(*map(_normalize_rows, raws))
+    x = np.concatenate([images, *normed], axis=1)
+    lo = model.dims.d_img - images.shape[1]
+    z = x @ model.fc_weights[:, lo : lo + x.shape[1]].T
+    z += offset
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z, x, norms
+
+
+def _embed(model: LinearModel, batch):
+    """``_forward``'s inputs for a ``_batches`` or ``_block_batch`` batch: its
+    normalized image rows, each text block's raw embedding, and fc_bias."""
     images, texts = batch
-    parts, norms = [images], []
-    for (words, counts), embedding in zip(texts, (model.embed_target, model.embed_extra)):
-        normed, raw_norms = _normalize_rows(counts @ _rows(embedding, words))
-        parts.append(normed)
-        norms.append(raw_norms)
-    x = np.concatenate(parts, axis=1)
-    return _log_softmax(x @ model.fc_weights.T + model.fc_bias), x, norms
+    embeddings = model.embed_target, model.embed_extra
+    return images, [c @ _rows(e, w) for (w, c), e in zip(texts, embeddings)], model.fc_bias
 
 
 def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
@@ -367,7 +371,7 @@ def _block_batch(model: LinearModel, blocks: Sequence[FeatureBlock]):
 
 def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
     """Probability vector over answers for one feature block."""
-    return np.exp(_forward(model, _block_batch(model, [block]))[0][0])
+    return np.exp(_forward(model, *_embed(model, _block_batch(model, [block])))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def _backward(model: LinearModel, batch, labels: np.ndarray):
     """(loss, d fc_weights, d fc_bias, text rows) of the batch's mean cross-entropy;
     text rows holds (word positions, gradient rows) for each embedding, whose
     other rows have zero gradient."""
-    log_probs, x, text_norms = _forward(model, batch)
+    log_probs, x, text_norms = _forward(model, *_embed(model, batch))
     picked = np.arange(len(labels)), labels
     loss = float(-log_probs[picked].mean())
     dz = np.exp(log_probs)
@@ -552,7 +556,7 @@ def train(
         if on_epoch_end is not None:
             nll = 0.0
             for idx, batch in _batches(examples, np.arange(n), config.batch_size):
-                log_probs = _forward(model, batch)[0]
+                log_probs = _forward(model, *_embed(model, batch))[0]
                 nll -= log_probs[np.arange(len(idx)), labels[idx]].sum()
             on_epoch_end(epoch, float(nll / n))
     return model
@@ -574,9 +578,7 @@ def predict_images(
     total less its own row.  Each distinct text is tokenized once per call."""
     if len(vocab) != model.vocab_size:
         raise DimMismatch(f"vocabulary of {len(vocab)} words vs {model.vocab_size} embedding rows")
-    d_img, d_t, _, _ = model.dims
-    w_img, w_text = model.fc_weights[:, :d_img], model.fc_weights[:, d_img:]
-    w_text = w_text if use_extras else w_text[:, :d_t]  # without extras, that block is zero
+    d_img = model.dims.d_img
     embeddings = (model.embed_target, model.embed_extra)[: 1 + use_extras]
     positions_of = functools.cache(functools.partial(token_positions, vocab=vocab))
     before = 0  # questions before the group
@@ -589,7 +591,7 @@ def predict_images(
     for _, window in itertools.groupby((g for g in groups if g[1]), window_of):
         window = list(window)
         images = l2_normalize(_image_matrix([image for image, _ in window], d_img))
-        image_terms = images @ w_img.T + model.fc_bias  # once per image
+        image_terms = images @ model.fc_weights[:, :d_img].T + model.fc_bias  # once per image
         rows, bags = _text_bags((q for _, questions in window for q in questions), positions_of)
         # each question's row embedded once under each embedding, from one count matrix per pass
         passes = list(_count_matrices(bags, np.arange(len(rows)), rows, len(rows), _EMBED_PASS))
@@ -601,10 +603,9 @@ def predict_images(
         for lo in range(0, len(rows), _PREDICT_PASS):
             own, units = slice(lo, lo + _PREDICT_PASS), owners[lo : lo + _PREDICT_PASS]
             blocks = [raw[0][own], totals[units] - raw[1][own]] if use_extras else [raw[0][own]]
-            x = np.concatenate([_normalize_rows(block)[0] for block in blocks], axis=1)
-            z = x @ w_text.T
-            z += image_terms[units]
-            probs = np.exp(_log_softmax(z), out=z)
+            # a zero-width image block: the image term is the offset
+            log_probs = _forward(model, np.empty((len(units), 0)), blocks, image_terms[units])[0]
+            probs = np.exp(log_probs, out=log_probs)
             labels = np.argmax(probs, axis=1).tolist()  # ties: lowest index
             yield from zip([model.answer_vocab[k] for k in labels], probs)
 

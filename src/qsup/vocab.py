@@ -116,10 +116,9 @@ def token_positions(text: str, vocab: Vocabulary, tokens: Sequence[str] | None =
     return [index[tok] for tok in (tokenize(text) if tokens is None else tokens) if tok in index]
 
 
-def bow_featurize(text: str, vocab: Vocabulary, tokens: Sequence[str] | None = None) -> BowVector:
-    """Count in-vocabulary tokens of ``text``, or of its ``tokens`` when the
-    caller has them already; out-of-vocabulary tokens are dropped."""
-    return BowVector(Counter(token_positions(text, vocab, tokens)), len(vocab))
+def bow_featurize(text: str, vocab: Vocabulary) -> BowVector:
+    """Count in-vocabulary tokens of ``text``; out-of-vocabulary tokens are dropped."""
+    return BowVector(Counter(token_positions(text, vocab)), len(vocab))
 
 
 def _documents_by_image(corpus: Sequence[Question]) -> list[str]:

@@ -691,6 +691,11 @@ CONTRACT_CASES = {
     "train_config_text_train_seed": (_train_fields(seed="x"), 2),
     "train_config_nan_learning_rate": (_train_fields(learning_rate=float("nan")), 2),
     "train_config_negative_seed": (lambda b: _run_config_with(b, seed=-1), 2),
+    "train_config_misspelled_key": (lambda b: _run_config_with(b, augment_mod="plain"), 2),
+    "train_config_unknown_augment_mode": (
+        lambda b: _run_config_with(b, augment_mode="powerst"), 2),
+    "train_config_weight_init_scale_past_float32": (_train_fields(weight_init_scale=1e39), 2),
+    "train_config_integer_learning_rate_past_float": (_train_fields(learning_rate=10**400), 2),
     # 11 words at 10**13 dims: an 800 TiB first table, past the 128 TiB user address
     # space, so its allocation fails before any byte is written on any machine
     "train_config_embed_dim_past_memory": (_train_fields(embed_dim=10**13), 2),
@@ -799,6 +804,22 @@ def test_non_finite_features_name_the_file_and_image_before_any_output(case, pai
     err = capsys.readouterr().err
     assert err == f"qsup: error: {pair_setup / 'nan.qvft'}: image 59: non-finite feature value\n"
     assert not (pair_setup / "p.jsonl").exists()
+    assert not (pair_setup / "out").exists()
+
+
+@pytest.mark.parametrize("case, named", [
+    ("train_config_misspelled_key", "unknown field 'augment_mod'"),
+    ("train_config_unknown_augment_mode",
+     "field 'augment_mode' must be one of plain, powerset, concat_only, powerset_no_empty"),
+    ("train_config_weight_init_scale_past_float32", "bad train section: weight_init_scale must"),
+    ("train_config_integer_learning_rate_past_float", "bad train section: learning_rate must"),
+])
+def test_run_config_errors_name_the_file_and_key_before_any_output(case, named, pair_setup,
+                                                                   capsys):
+    argv = CONTRACT_CASES[case][0](pair_setup)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qsup: error: {argv[-1]}: {named}") and err.count("\n") == 1
     assert not (pair_setup / "out").exists()
 
 

@@ -276,6 +276,13 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(weight_init_scale=-1.0)
+        # past the float32 range the model file stores, or not finite: refused by name
+        for field, value in [("learning_rate", np.nan), ("learning_rate", np.inf),
+                             ("learning_rate", 10**400), ("weight_init_scale", 1e39),
+                             ("weight_init_scale", np.nan), ("weight_init_scale", np.inf)]:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                TrainConfig(**{field: value})
+        TrainConfig(weight_init_scale=float(np.finfo(np.float32).max))
 
 
 class TestPredict:
@@ -472,9 +479,9 @@ class TestSparseBatchedPath:
             positions = bags.positions[bags.ptr[r] : bags.ptr[r + 1]].tolist()
             counts = bags.counts[bags.ptr[r] : bags.ptr[r + 1]].tolist()
             assert positions == sorted(set(positions))
-            assert dict(zip(positions, counts)) == bow_featurize("", vocab, tokens).entries
+            assert dict(zip(positions, counts)) == bow_featurize(" ".join(tokens), vocab).entries
         from_bows = model_module._bag_rows(
-            [bow_featurize("", vocab, tokens) for tokens in token_lists], len(vocab))
+            [bow_featurize(" ".join(tokens), vocab) for tokens in token_lists], len(vocab))
         for got, want in zip(from_bows, bags):
             assert np.array_equal(got, want)
 
@@ -663,6 +670,80 @@ class TestPredictImages:
             want = self.reference(model, vocab, image, questions, use_extras)
             for (_, probs), ref in zip(got[5 * i : 5 * i + 5], want):
                 np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-12)
+
+
+class TestOneForwardPass:
+    """Training, the full-data loss, the one-example API and predict all form
+    their logits in ``model._forward``."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The number of rows of each ``_forward`` call, in call order."""
+        rows = []
+        real = model_module._forward
+
+        def counting(model, images, raws, offset):
+            rows.append(len(images))
+            return real(model, images, raws, offset)
+
+        monkeypatch.setattr(model_module, "_forward", counting)
+        return rows
+
+    def test_train_and_its_full_data_loss(self, rows):
+        records, features, vocab, exemplars = separable_setup(40)
+        cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=16, seed=5,
+                          answer_vocab_size=1000, weight_init_scale=0.01, embed_dim=4)
+        losses = []
+        train(exemplars, features, vocab, cfg, on_epoch_end=lambda e, l: losses.append(l))
+        n = len(exemplars)
+        batches = [min(16, n - lo) for lo in range(0, n, 16)]
+        assert len(losses) == 2
+        assert rows == batches * 4  # per epoch, the SGD steps then the loss
+
+    def test_loss_and_grad_and_forward(self, rows):
+        rng = np.random.default_rng(91)
+        model = random_model(rng)
+        batch = random_batch(rng, model, size=6)
+        loss_and_grad(model, batch)
+        forward(model, batch[0][0])
+        assert rows == [6, 1]
+
+    def test_predict(self, rows):
+        rng = np.random.default_rng(92)
+        vocab = Vocabulary(TestPredictImages.WORDS)
+        model = random_model(rng, v=len(vocab))
+        predict(model, vocab, rng.normal(size=4), Question("q", 1, "what is the red cat"),
+                [Question("x", 1, "is the dog left")])
+        assert rows == [2]  # the group [target, extra], in one pass
+
+    @pytest.mark.parametrize("use_extras", [True, False])
+    def test_predict_images_calls_it_once_per_pass(self, rows, use_extras):
+        rng = np.random.default_rng(93)
+        words = TestPredictImages.WORDS
+        vocab = Vocabulary(words)
+        model = random_model(rng, v=len(words))
+        groups = [(rng.normal(size=4), [Question(f"q{i}_{j}", i, " ".join(rng.choice(words, 4)))
+                                        for j in range(50)]) for i in range(5)]
+        assert len(list(predict_images(model, vocab, groups, use_extras))) == 250
+        # windows of whole images, 150 and 100 questions, in passes of 64
+        assert model_module._PREDICT_PASS == 64
+        assert rows == [64, 64, 22, 64, 36]
+
+    def test_predict_without_extras_ignores_the_extra_embedding(self):
+        rng = np.random.default_rng(94)
+        words = TestPredictImages.WORDS
+        vocab = Vocabulary(words)
+        model = random_model(rng, v=len(words), answers=tuple("abcde"))
+        groups = [(rng.normal(size=4), [Question(f"q{i}_{j}", i, " ".join(rng.choice(words, 3)))
+                                        for j in range(3)]) for i in range(30)]
+
+        def probs(use_extras):
+            return np.array([p for _, p in predict_images(model, vocab, groups, use_extras)])
+
+        plain, extras = probs(False), probs(True)
+        model.embed_extra = rng.normal(size=model.embed_extra.shape)
+        assert np.array_equal(probs(False), plain)
+        assert not np.array_equal(probs(True), extras)  # the extras do read it
 
 
 def shared_text_setup():
