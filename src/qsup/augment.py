@@ -6,11 +6,11 @@ question plus extra questions selected by a mask, where bit b picks question
 b of ``answered + unanswered``.  ``exemplar_rows`` gives the exemplars of
 many images as an ``ExemplarRows`` table with one entry per answered
 question, and its ``decode`` computes the questions of any rows from it, so
-training stores no row; ``generate_exemplars`` streams the same rows of one
-image, decoded a bounded number at a time, as ``Exemplar`` objects or as
-whatever its ``make`` builds from a row's indices (``qsup augment`` builds
-each JSONL line).  ``ExemplarRows.from_exemplars`` lays out any stream of
-``Exemplar`` objects as a table, one entry each.
+training stores no row.  ``ExemplarRows.rows`` reads every row in order as
+question indices, decoded a bounded number at a time: ``qsup augment``
+builds each JSONL line from them, and ``generate_exemplars`` builds the
+``Exemplar`` objects of one image.  ``ExemplarRows.from_exemplars`` lays out
+any stream of ``Exemplar`` objects as a table, one entry each.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class Exemplar:
         return self.target_question.answer
 
 
-_STREAM_ROWS = 4096  # exemplars enumerated at a time by generate_exemplars; bounds its memory
+_STREAM_ROWS = 4096  # rows decoded at a time by ExemplarRows.rows; bounds its memory
 MAX_IMAGE_EXEMPLARS = 1 << 20  # of one image; at the limit (n=16, powerset) train peaks at 48 MiB
 
 
@@ -155,6 +155,17 @@ class ExemplarRows(NamedTuple):
         owners, extras = np.nonzero(chosen)
         return entries, owners, self.starts[entries[owners]] + extras
 
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """(target, extras) of every row in order, as indices into
+        ``questions``, decoded ``_STREAM_ROWS`` rows at a time."""
+        total = int(self.ends[-1])
+        for lo in range(0, total, _STREAM_ROWS):
+            entries, owners, extras = self.decode(np.arange(lo, min(lo + _STREAM_ROWS, total)))
+            ptr = np.searchsorted(owners, np.arange(len(entries) + 1)).tolist()
+            extras = extras.tolist()
+            for row, target in enumerate((self.starts[entries] + self.targets[entries]).tolist()):
+                yield target, extras[ptr[row] : ptr[row + 1]]
+
 
 def _table(mode: AugmentMode, questions: tuple[Question, ...], image_ids: np.ndarray,
            starts: np.ndarray, sizes: np.ndarray, targets: np.ndarray) -> ExemplarRows:
@@ -181,10 +192,8 @@ def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> Ex
 
 
 def generate_exemplars(
-    record: ImageRecord,
-    mode: AugmentMode | str = AugmentMode.POWERSET,
-    make: Callable[[int, list[int]], object] | None = None,
-) -> Iterator[object]:
+    record: ImageRecord, mode: AugmentMode | str = AugmentMode.POWERSET
+) -> Iterator[Exemplar]:
     """Stream training exemplars for one image.
 
     plain: one exemplar per answered question, no extras.
@@ -196,28 +205,14 @@ def generate_exemplars(
         question as extras.
     powerset_no_empty: powerset without the empty-extras exemplars.
 
-    Given ``make``, each exemplar is ``make(target, extras)`` instead of an
-    ``Exemplar``, from its question indices into ``record.all_questions``.
+    The exemplars are ``exemplar_rows([record], mode).rows()`` as objects.
     """
-    mode = coerce(AugmentMode, mode, "augmentation")
+    table = exemplar_rows([record], mode)  # its count is checked here, not at the first row
     if not record.answered:
         raise NoAnswered(f"image {record.image_id} has no answered questions")
-    table = exemplar_rows([record], mode)  # its count is checked here, not at the first row
-    q_all = record.all_questions
-    if make is None:
-        def make(target: int, chosen: list[int]) -> Exemplar:
-            return Exemplar(record.image_id, q_all[target], tuple(map(q_all.__getitem__, chosen)))
-
-    def _generate() -> Iterator[object]:
-        total = int(table.ends[-1])
-        for lo in range(0, total, _STREAM_ROWS):
-            entries, owners, extras = table.decode(np.arange(lo, min(lo + _STREAM_ROWS, total)))
-            ptr = np.searchsorted(owners, np.arange(len(entries) + 1)).tolist()
-            extras = extras.tolist()
-            for row, target in enumerate(table.targets[entries].tolist()):
-                yield make(target, extras[ptr[row] : ptr[row + 1]])
-
-    return _generate()
+    q = table.questions
+    return (Exemplar(record.image_id, q[target], tuple(map(q.__getitem__, extras)))
+            for target, extras in table.rows())
 
 
 def _strip_answer(question: Question) -> Question:

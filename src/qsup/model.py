@@ -72,6 +72,7 @@ logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # the model file stores float32
+_SIZE_MAX = 2**31 - 1  # of batch_size and embed_dim: the model file stores sizes as u32
 _PREDICT_PASS = 64  # questions per predict forward pass; bounds its memory
 _PREDICT_WINDOW = 2 * _PREDICT_PASS  # questions indexed at a time by predict_images
 _EMBED_PASS = 16  # questions per count matrix in predict; fewer words, fewer zero products
@@ -109,6 +110,8 @@ class LinearModel:
             raise DimMismatch("fc_bias length must equal the answer vocabulary size")
         if self.fc_weights.shape[0] != len(self.answer_vocab):
             raise DimMismatch("fc_weights rows must equal the answer vocabulary size")
+        if self.embed_target.shape[0] != self.embed_extra.shape[0]:
+            raise DimMismatch("embed_target and embed_extra must have the same number of rows")
         if self.fc_weights.shape[1] < self.embed_target.shape[1] + self.embed_extra.shape[1]:
             raise DimMismatch("fc_weights columns too few for the text blocks")
 
@@ -175,10 +178,11 @@ class TrainConfig:
         # NaN fails every comparison; Python compares a JSON integer past float range exactly
         if not 0 <= self.learning_rate <= sys.float_info.max:
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.answer_vocab_size < 1 or self.embed_dim < 1:
-            raise ValueError("answer_vocab_size and embed_dim must be >= 1")
+        if self.epochs < 1 or self.answer_vocab_size < 1:
+            raise ValueError("epochs and answer_vocab_size must be >= 1")
+        for name in ("batch_size", "embed_dim"):
+            if not 1 <= getattr(self, name) <= _SIZE_MAX:
+                raise ValueError(f"{name} must be in [1, {_SIZE_MAX}]")
         if not 0 <= self.weight_init_scale <= _FLOAT32_MAX:
             raise ValueError("weight_init_scale must be in [0, float32 max]")
         if self.seed < 0:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsup
-from qsup import dataio, qparse, vocab
+from qsup import augment, dataio, qparse, vocab
 from qsup.augment import generate_exemplars
 from qsup.cli import main
 from qsup.dataio import DatasetManifest, ImageEntry, save_dataset, save_features
@@ -149,6 +149,38 @@ class TestAugment:
             for record in dataio.build_image_records(dataio.load_dataset(data)) if record.answered
             for ex in generate_exemplars(record, mode)
         ]
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+
+    @pytest.mark.parametrize("mode", ["plain", "powerset", "concat_only", "powerset_no_empty"])
+    def test_lines_from_one_table_across_decode_windows(self, tmp_path, mode, monkeypatch):
+        questions = [
+            {"id": f"q{i}{j}" if j % 2 else 10 * i + j, "image_id": i, "text": f"what is {j}",
+             **({"answer": f"ans {i}{j}"} if j < i else {})}
+            for i in (1, 2, 3, 4) for j in range(3)
+        ]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"images": [{"image_id": i} for i in (1, 2, 3, 4)],
+                                    "questions": questions}))
+        records = dataio.build_image_records(dataio.load_dataset(data))
+        # at the default window each image's rows decode in one window
+        expected = [
+            json.dumps({"image_id": ex.image_id, "target_id": ex.target_question.id,
+                        "extra_ids": [q.id for q in ex.extra], "answer": ex.answer})
+            for record in records if record.answered for ex in generate_exemplars(record, mode)
+        ]
+        assert len(expected) > 7  # plain: 1 + 2 + 3 + 3 answered questions
+        # 7 rows a window: an image's rows straddle windows, and a window spans images
+        monkeypatch.setattr(augment, "_STREAM_ROWS", 7)
+        exemplar_rows, calls = augment.exemplar_rows, []
+
+        def counting(records, mode):
+            calls.append(mode)
+            return exemplar_rows(records, mode)
+
+        monkeypatch.setattr(augment, "exemplar_rows", counting)
+        out = tmp_path / "ex.jsonl"
+        assert main(["augment", "--in", str(data), "--mode", mode, "--out", str(out)]) == 0
+        assert calls == [mode]  # one table per run, not one per image
         assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
@@ -697,8 +729,13 @@ CONTRACT_CASES = {
     "train_config_weight_init_scale_past_float32": (_train_fields(weight_init_scale=1e39), 2),
     "train_config_integer_learning_rate_past_float": (_train_fields(learning_rate=10**400), 2),
     # 11 words at 10**13 dims: an 800 TiB first table, past the 128 TiB user address
-    # space, so its allocation fails before any byte is written on any machine
+    # space; refused by the config's 2**31 - 1 bound before any table is allocated
     "train_config_embed_dim_past_memory": (_train_fields(embed_dim=10**13), 2),
+    # past the C long numpy sizes take, or past the u32 the model file stores them as
+    "train_config_batch_size_past_c_long": (_train_fields(batch_size=10**400), 2),
+    "train_config_batch_size_past_u32": (_train_fields(batch_size=2**62), 2),
+    "train_config_embed_dim_past_c_long": (_train_fields(embed_dim=10**400), 2),
+    "train_config_embed_dim_past_u32": (_train_fields(embed_dim=2**62), 2),
     "extract_non_utf8_manifest": (_non_utf8_manifest, 2),
     "eval_vqa_no_answered_question": (
         lambda b: ["eval", "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
@@ -813,6 +850,10 @@ def test_non_finite_features_name_the_file_and_image_before_any_output(case, pai
      "field 'augment_mode' must be one of plain, powerset, concat_only, powerset_no_empty"),
     ("train_config_weight_init_scale_past_float32", "bad train section: weight_init_scale must"),
     ("train_config_integer_learning_rate_past_float", "bad train section: learning_rate must"),
+    ("train_config_batch_size_past_c_long", "bad train section: batch_size must be in [1, "),
+    ("train_config_batch_size_past_u32", "bad train section: batch_size must be in [1, "),
+    ("train_config_embed_dim_past_c_long", "bad train section: embed_dim must be in [1, "),
+    ("train_config_embed_dim_past_u32", "bad train section: embed_dim must be in [1, "),
 ])
 def test_run_config_errors_name_the_file_and_key_before_any_output(case, named, pair_setup,
                                                                    capsys):

@@ -139,6 +139,12 @@ class TestForward:
         block = FeatureBlock(np.zeros(1), BowVector({}, 1), BowVector({}, 1))
         np.testing.assert_allclose(forward(model, block), [0.25, 0.75], atol=1e-12)
 
+    def test_embedding_tables_of_different_row_counts_are_refused(self):
+        # a 4-row extra table would fail on word 4 of an extra question with an IndexError
+        with pytest.raises(DimMismatch, match="same number of rows"):
+            LinearModel(np.zeros((5, 2)), np.zeros((4, 2)), np.zeros((2, 5)), np.zeros(2),
+                        ("a", "b"))
+
     def test_dim_mismatch(self):
         rng = np.random.default_rng(5)
         model = random_model(rng)
@@ -283,6 +289,12 @@ class TestTrain:
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 TrainConfig(**{field: value})
         TrainConfig(weight_init_scale=float(np.finfo(np.float32).max))
+        # the model file stores sizes as u32; past 2**31 - 1 numpy overflows or cannot allocate
+        for field in ("batch_size", "embed_dim"):
+            for value in (0, 2**31, 2**62, 10**400):
+                with pytest.raises(ValueError, match=f"^{field} must be in \\[1, 2147483647\\]"):
+                    TrainConfig(**{field: value})
+        TrainConfig(batch_size=2**31 - 1, embed_dim=2**31 - 1)
 
 
 class TestPredict:
