@@ -7,10 +7,11 @@ b of ``answered + unanswered``.  ``exemplar_rows`` gives the exemplars of
 many images as an ``ExemplarRows`` table with one entry per answered
 question, and its ``decode`` computes the questions of any rows from it, so
 training stores no row.  ``ExemplarRows.rows`` reads every row in order as
-question indices, decoded a bounded number at a time: ``qsup augment``
-builds each JSONL line from them, and ``generate_exemplars`` builds the
-``Exemplar`` objects of one image.  ``ExemplarRows.from_exemplars`` lays out
-any stream of ``Exemplar`` objects as a table, one entry each.
+question indices, decoded a bounded number at a time; ``generate_exemplars``
+streams the rows of one image as ``Exemplar`` objects or as whatever its
+``make`` builds from a row's indices (``qsup augment`` builds each JSONL
+line).  ``ExemplarRows.from_exemplars`` lays out any stream of ``Exemplar``
+objects as a table, one entry each.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,8 +193,10 @@ def exemplar_rows(records: Iterable[ImageRecord], mode: AugmentMode | str) -> Ex
 
 
 def generate_exemplars(
-    record: ImageRecord, mode: AugmentMode | str = AugmentMode.POWERSET
-) -> Iterator[Exemplar]:
+    record: ImageRecord,
+    mode: AugmentMode | str = AugmentMode.POWERSET,
+    make: Callable[[int, list[int]], object] | None = None,
+) -> Iterator[object]:
     """Stream training exemplars for one image.
 
     plain: one exemplar per answered question, no extras.
@@ -205,11 +208,15 @@ def generate_exemplars(
         question as extras.
     powerset_no_empty: powerset without the empty-extras exemplars.
 
-    The exemplars are ``exemplar_rows([record], mode).rows()`` as objects.
+    The exemplars are the rows of ``exemplar_rows([record], mode).rows()``
+    as ``Exemplar`` objects or, given ``make``, as ``make(target, extras)``
+    of each row's indices into ``record.all_questions``.
     """
     table = exemplar_rows([record], mode)  # its count is checked here, not at the first row
     if not record.answered:
         raise NoAnswered(f"image {record.image_id} has no answered questions")
+    if make is not None:
+        return (make(target, extras) for target, extras in table.rows())
     q = table.questions
     return (Exemplar(record.image_id, q[target], tuple(map(q.__getitem__, extras)))
             for target, extras in table.rows())

@@ -110,20 +110,26 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _exemplar_lines(record, mode: str):
+    """The JSONL line of each exemplar of ``record``, as ``json.dumps`` of
+    {image_id, target_id, extra_ids, answer} gives it, from each question's
+    id and answer encoded once."""
+    from .augment import generate_exemplars
+    ids = [json.dumps(q.id) for q in record.all_questions]
+    head = f'{{"image_id": {json.dumps(record.image_id)}, "target_id": '
+    tails = [f'], "answer": {json.dumps(q.answer)}}}' for q in record.answered]
+    return generate_exemplars(record, mode, lambda target, extras: (
+        f'{head}{ids[target]}, "extra_ids": [{", ".join([ids[i] for i in extras])}{tails[target]}'
+    ))
+
+
 def _cmd_augment(args) -> int:
     from .augment import exemplar_rows
     manifest = dataio.load_dataset(getattr(args, "in"))
-    # checks each image's exemplar count before --out is opened
-    table = exemplar_rows(dataio.build_image_records(manifest), args.mode)
-    # each line as json.dumps gives {image_id, target_id, extra_ids, answer}, from each
-    # question's id and each target's head and tail, encoded once
-    ids = [json.dumps(q.id) for q in table.questions]
-    targets = (table.starts + table.targets).tolist()
-    heads = {t: f'{{"image_id": {json.dumps(image_id)}, "target_id": {ids[t]}, "extra_ids": ['
-             for t, image_id in zip(targets, table.image_ids.tolist())}
-    tails = {t: f'], "answer": {json.dumps(table.questions[t].answer)}}}' for t in targets}
+    records = dataio.build_image_records(manifest)
+    exemplar_rows(records, args.mode)  # checks each image's exemplar count before --out is opened
     count = write_lines(args.out, (
-        f'{heads[t]}{", ".join([ids[i] for i in extras])}{tails[t]}' for t, extras in table.rows()
+        line for record in records if record.answered for line in _exemplar_lines(record, args.mode)
     ))
     logger.info("wrote %d exemplars", count)
     _write_snapshot(Path(args.out).parent, "augment", _args_snapshot(args))

@@ -72,7 +72,7 @@ logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # the model file stores float32
-_SIZE_MAX = 2**31 - 1  # of batch_size and embed_dim: the model file stores sizes as u32
+_SIZE_MAX = 2**31 - 1  # batch_size, embed_dim: clear of numpy's C-long overflow; fits the file's u32
 _PREDICT_PASS = 64  # questions per predict forward pass; bounds its memory
 _PREDICT_WINDOW = 2 * _PREDICT_PASS  # questions indexed at a time by predict_images
 _EMBED_PASS = 16  # questions per count matrix in predict; fewer words, fewer zero products

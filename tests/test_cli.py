@@ -152,7 +152,8 @@ class TestAugment:
         assert out.read_text(encoding="utf-8").splitlines() == expected
 
     @pytest.mark.parametrize("mode", ["plain", "powerset", "concat_only", "powerset_no_empty"])
-    def test_lines_from_one_table_across_decode_windows(self, tmp_path, mode, monkeypatch):
+    def test_lines_across_decode_windows_stream_through_generate_exemplars(self, tmp_path, mode,
+                                                                            monkeypatch):
         questions = [
             {"id": f"q{i}{j}" if j % 2 else 10 * i + j, "image_id": i, "text": f"what is {j}",
              **({"answer": f"ans {i}{j}"} if j < i else {})}
@@ -171,17 +172,20 @@ class TestAugment:
         assert len(expected) > 7  # plain: 1 + 2 + 3 + 3 answered questions
         # 7 rows a window: an image's rows straddle windows, and a window spans images
         monkeypatch.setattr(augment, "_STREAM_ROWS", 7)
-        exemplar_rows, calls = augment.exemplar_rows, []
+        generate, yielded = augment.generate_exemplars, []
 
-        def counting(records, mode):
-            calls.append(mode)
-            return exemplar_rows(records, mode)
+        def counting(record, mode, make=None):
+            for exemplar in generate(record, mode, make):
+                yielded.append(record.image_id)
+                yield exemplar
 
-        monkeypatch.setattr(augment, "exemplar_rows", counting)
+        monkeypatch.setattr(augment, "generate_exemplars", counting)
         out = tmp_path / "ex.jsonl"
         assert main(["augment", "--in", str(data), "--mode", mode, "--out", str(out)]) == 0
-        assert calls == [mode]  # one table per run, not one per image
-        assert out.read_text(encoding="utf-8").splitlines() == expected
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines == expected
+        # every line is an item of generate_exemplars, which the traced benchmark counts
+        assert yielded == [json.loads(line)["image_id"] for line in lines]
 
 
 class TestTrainPredictEval:
@@ -731,11 +735,9 @@ CONTRACT_CASES = {
     # 11 words at 10**13 dims: an 800 TiB first table, past the 128 TiB user address
     # space; refused by the config's 2**31 - 1 bound before any table is allocated
     "train_config_embed_dim_past_memory": (_train_fields(embed_dim=10**13), 2),
-    # past the C long numpy sizes take, or past the u32 the model file stores them as
-    "train_config_batch_size_past_c_long": (_train_fields(batch_size=10**400), 2),
-    "train_config_batch_size_past_u32": (_train_fields(batch_size=2**62), 2),
-    "train_config_embed_dim_past_c_long": (_train_fields(embed_dim=10**400), 2),
-    "train_config_embed_dim_past_u32": (_train_fields(embed_dim=2**62), 2),
+    # past the config's 2**31 - 1 bound, where numpy's size arithmetic can overflow
+    "train_config_batch_size_past_size_bound": (_train_fields(batch_size=2**62), 2),
+    "train_config_embed_dim_past_size_bound": (_train_fields(embed_dim=10**400), 2),
     "extract_non_utf8_manifest": (_non_utf8_manifest, 2),
     "eval_vqa_no_answered_question": (
         lambda b: ["eval", "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
@@ -850,10 +852,8 @@ def test_non_finite_features_name_the_file_and_image_before_any_output(case, pai
      "field 'augment_mode' must be one of plain, powerset, concat_only, powerset_no_empty"),
     ("train_config_weight_init_scale_past_float32", "bad train section: weight_init_scale must"),
     ("train_config_integer_learning_rate_past_float", "bad train section: learning_rate must"),
-    ("train_config_batch_size_past_c_long", "bad train section: batch_size must be in [1, "),
-    ("train_config_batch_size_past_u32", "bad train section: batch_size must be in [1, "),
-    ("train_config_embed_dim_past_c_long", "bad train section: embed_dim must be in [1, "),
-    ("train_config_embed_dim_past_u32", "bad train section: embed_dim must be in [1, "),
+    ("train_config_batch_size_past_size_bound", "bad train section: batch_size must be in [1, "),
+    ("train_config_embed_dim_past_size_bound", "bad train section: embed_dim must be in [1, "),
 ])
 def test_run_config_errors_name_the_file_and_key_before_any_output(case, named, pair_setup,
                                                                    capsys):

@@ -289,7 +289,7 @@ class TestTrain:
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 TrainConfig(**{field: value})
         TrainConfig(weight_init_scale=float(np.finfo(np.float32).max))
-        # the model file stores sizes as u32; past 2**31 - 1 numpy overflows or cannot allocate
+        # one bound for both sizes, clear of numpy's C-long overflow
         for field in ("batch_size", "embed_dim"):
             for value in (0, 2**31, 2**62, 10**400):
                 with pytest.raises(ValueError, match=f"^{field} must be in \\[1, 2147483647\\]"):
