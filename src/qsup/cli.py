@@ -144,18 +144,13 @@ def _cmd_train(args) -> int:
     records = dataio.build_image_records(manifest)
     features = _image_features(cfg.features, ((r.image_id, r.feature_ref) for r in records))
 
-    # each distinct text tokenized once; interned, texts share each token's string
-    tokens = {
-        text: tuple(map(sys.intern, qparse.tokenize(text)))
-        for text in dict.fromkeys(q.text for q in manifest.questions)
-    }
     text_vocab = (
         vocabmod.load_vocabulary(cfg.vocab)
         if cfg.vocab is not None
-        else vocabmod.build_vocabulary(manifest.questions, cfg.min_count, tokens)
+        else vocabmod.build_vocabulary(manifest.questions, cfg.min_count)
     )
     table = augment.exemplar_rows(records, cfg.augment_mode)
-    model = train(table, features, text_vocab, cfg.train, tokens=tokens)
+    model = train(table, features, text_vocab, cfg.train)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, cfg.out_dir / "model.qsmd")
@@ -217,7 +212,7 @@ def _matched_pairs(pred_path: str, dataset_path: str) -> list[tuple[str, str]]:
         if q.answer is None:
             continue
         if q.id not in predictions:
-            raise DanglingReference(f"no prediction for question {q.id!r}")
+            raise DanglingReference(f"{pred_path}: no prediction for question {q.id!r}")
         pairs.append((predictions[q.id], q.answer))
     if not pairs:
         raise EmptyVector(f"{dataset_path}: no answered question to score")
@@ -252,7 +247,8 @@ def _cmd_eval(args) -> int:
             if entry.gt_labels is None:
                 continue
             if entry.image_id not in labels_by_image:
-                raise DanglingReference(f"no extracted labels for image {entry.image_id}")
+                raise DanglingReference(
+                    f"{args.labels}: no extracted labels for image {entry.image_id}")
             predicted.append(labels_by_image[entry.image_id])
             context = f"{args.dataset}: image {entry.image_id}"
             truth.append(_label_set(entry.gt_labels, classes, context))

@@ -206,8 +206,8 @@ def _walk(numbered, where, fields: tuple, build, closed: bool = False, unique=No
 _IMAGE_FIELDS = (("image_id", _INDEX, False), ("gt_labels", _STRINGS, True),
                  ("feature_ref", _INDEX, True))
 _QUESTION_FIELDS = (("id", _ID, False), ("image_id", _INT, False), ("text", _TEXT, False),
-                    ("choices", _STRINGS, True), ("answer", _STR, True))
-_VQA_QUESTION_FIELDS = (("question_id", _ID, False), ("image_id", _INT, False),
+                    ("choices", _STRINGS, True), ("answer", _TEXT, True))
+_VQA_QUESTION_FIELDS = (("question_id", _ID, False), ("image_id", _INDEX, False),
                         ("question", _TEXT, False), ("multiple_choices", _STRINGS, True))
 
 
@@ -288,7 +288,7 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
         records = _field(_read_json(annotations_path), "annotations", _LIST, annotations_path, [])
         answers = _keyed(list(enumerate(records)),
                          lambda i: f"{annotations_path}: annotations[{i}]",
-                         "question_id", _ID, "multiple_choice_answer", _STR)
+                         "question_id", _ID, "multiple_choice_answer", _TEXT)
     questions = _records(_read_json(questions_path), "questions", questions_path,
                          _VQA_QUESTION_FIELDS, lambda qid, image_id, text, choices:
                          Question(qid, image_id, text, answers.get(qid), choices))

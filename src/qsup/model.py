@@ -460,7 +460,6 @@ def _index_units(
     features: Mapping[int, np.ndarray],
     vocab: Vocabulary,
     answer_vocab_size: int,
-    tokens: Mapping[str, Sequence[str]] | None,
 ) -> tuple[_Examples, int, np.ndarray, tuple[str, ...]]:
     """(examples, their number, labels of their units, answer vocabulary) of
     the exemplars whose answer is among the ``answer_vocab_size`` most frequent:
@@ -484,16 +483,14 @@ def _index_units(
     if not n:
         raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
 
-    def positions_of(text: str) -> Sequence[int]:
-        return token_positions(text, vocab, None if tokens is None else tokens[text])
-
     table = table.select(keep)
     # the questions of any row: a plain row has only its target; the extras
     # of the other modes cover the target's image
     used = ((table.starts + table.targets).tolist() if table.mode is AugmentMode.PLAIN
             else range(len(table.questions)))
     question_rows = np.zeros(len(table.questions), np.intp)
-    question_rows[used], bags = _text_bags(map(table.questions.__getitem__, used), positions_of)
+    question_rows[used], bags = _text_bags(
+        map(table.questions.__getitem__, used), functools.partial(token_positions, vocab=vocab))
     image_ids, image_rows = np.unique(table.image_ids, return_inverse=True)
     for image_id in image_ids.tolist():
         if image_id not in features:
@@ -511,7 +508,6 @@ def train(
     vocab: Vocabulary,
     config: TrainConfig,
     on_epoch_end: Callable[[int, float], None] | None = None,
-    tokens: Mapping[str, Sequence[str]] | None = None,
 ) -> LinearModel:
     """Mini-batch SGD over the exemplars; deterministic given the seed.
 
@@ -519,13 +515,14 @@ def train(
     ``ExemplarRows.from_exemplars`` lays them out: a stream and the table of
     the same exemplars give the same model.  The answer vocabulary is the
     most frequent exemplar answers; exemplars whose answer falls outside it
-    are dropped, and the counts are logged.  ``tokens``, when given, holds
-    the tokens of every question text.  ``on_epoch_end`` receives (epoch,
-    full-dataset loss) after each epoch, computed ``batch_size`` examples at
-    a time.  An epoch that leaves a parameter past float32 range raises Diverged.
+    are dropped, and the counts are logged.  Each distinct question text
+    is tokenized once, by ``token_positions``.  ``on_epoch_end`` receives
+    (epoch, full-dataset loss) after each epoch, computed ``batch_size``
+    examples at a time.  An epoch that leaves a parameter past float32 range
+    raises Diverged.
     """
     examples, n, labels, answer_vocab = _index_units(
-        exemplars, features, vocab, config.answer_vocab_size, tokens)
+        exemplars, features, vocab, config.answer_vocab_size)
 
     d = config.embed_dim
     n_answers = len(answer_vocab)

@@ -84,15 +84,10 @@ class BowVector:
         return BowVector(dict(merged), self.vocab_size)
 
 
-def build_vocabulary(
-    corpus: Sequence[Question],
-    min_count: int = 1,
-    tokens: Mapping[str, Sequence[str]] | None = None,
-) -> Vocabulary:
+def build_vocabulary(corpus: Sequence[Question], min_count: int = 1) -> Vocabulary:
     """All tokens with frequency >= min_count, most frequent first, ties A-Z.
 
-    Each distinct question text is tokenized once and counts once per
-    question; ``tokens``, when given, holds the tokens of every distinct text.
+    Each distinct question text is tokenized once and counts once per question.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -100,7 +95,7 @@ def build_vocabulary(
         raise EmptyCorpus("cannot build a vocabulary from zero questions")
     counts = Counter()
     for text, n in Counter(q.text for q in corpus).items():
-        for tok in tokenize(text) if tokens is None else tokens[text]:
+        for tok in tokenize(text):
             counts[tok] += n
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
@@ -109,11 +104,10 @@ def build_vocabulary(
     return Vocabulary(kept)
 
 
-def token_positions(text: str, vocab: Vocabulary, tokens: Sequence[str] | None = None) -> list[int]:
-    """Vocabulary positions of the in-vocabulary tokens of ``text``, or of its
-    ``tokens`` when the caller has them already, in token order."""
+def token_positions(text: str, vocab: Vocabulary) -> list[int]:
+    """Vocabulary positions of the in-vocabulary tokens of ``text``, in token order."""
     index = vocab.index
-    return [index[tok] for tok in (tokenize(text) if tokens is None else tokens) if tok in index]
+    return [index[tok] for tok in tokenize(text) if tok in index]
 
 
 def bow_featurize(text: str, vocab: Vocabulary) -> BowVector:

@@ -242,7 +242,15 @@ class TestTrainPredictEval:
         assert main(["train", "--config", str(config)]) == 0
         texts = Counter(q.text for q in dataio.load_dataset(pair_setup / "data.json").questions)
         assert len(texts) < sum(texts.values())  # texts repeat across questions
-        assert calls == Counter(dict.fromkeys(texts, 1))
+        # the indexer tokenizes each distinct text once, and so does the vocabulary
+        # builder when the config names no vocabulary
+        assert calls == Counter(dict.fromkeys(texts, 1 if given_vocab else 2))
+
+    def test_a_given_vocabulary_trains_as_the_one_built_from_the_data(self, pair_setup):
+        assert main(["train", "--config", str(pair_setup / "run.json")]) == 0
+        assert main(_run_config_with(pair_setup, vocab="out/vocab.txt", out_dir="given")) == 0
+        model = (pair_setup / "out" / "model.qsmd").read_bytes()
+        assert (pair_setup / "given" / "model.qsmd").read_bytes() == model
 
     def test_unused_feature_rows_leave_the_model_unchanged(self, pair_setup):
         assert main(["train", "--config", str(pair_setup / "run.json")]) == 0
@@ -707,6 +715,24 @@ CONTRACT_CASES = {
                    "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
                    "--dataset", str(_manifest_with(b, question={"answer": 5})),
                    "--out-prefix", str(b / "r")], 2),
+    "eval_vqa_blank_manifest_answer": (
+        lambda b: ["eval", "--task", "vqa",
+                   "--pred", _jsonl(b, {"question_id": "q1", "answer": "red"}),
+                   "--dataset", str(_manifest_with(b, question={"answer": "   "})),
+                   "--out-prefix", str(b / "r")], 2),
+    "train_blank_manifest_answer": (
+        lambda b: _run_config_with(b, dataset=_manifest_with(b, question={"answer": "   "}).name),
+        2),
+    "eval_vqa_missing_prediction": (_eval_vqa_predictions({"question_id": "q2", "answer": "red"}),
+                                    2),
+    "bootstrap_missing_prediction": (
+        lambda b: ["bootstrap", "--pred", _jsonl(b, {"question_id": "q2", "answer": "red"}),
+                   "--dataset", str(_manifest_with(b))], 2),
+    "eval_extraction_missing_labels": (
+        lambda b: ["eval", "--task", "extraction",
+                   "--labels", _jsonl(b, {"image_id": 2, "labels": ["bus"]}),
+                   "--dataset", str(_manifest_with(b, image={"gt_labels": ["bus"]})),
+                   "--out-prefix", str(b / "pr")], 2),
     "eval_numeric_predicted_answer": (_eval_vqa_predictions({"question_id": "q1", "answer": 5}), 2),
     "eval_list_predicted_question_id": (
         _eval_vqa_predictions({"question_id": ["a"], "answer": "red"}), 2),
@@ -888,6 +914,26 @@ def test_repeated_jsonl_keys_name_the_line(case, repeated, pair_setup, capsys):
     assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
     err = capsys.readouterr().err
     assert err == f"qsup: error: {pair_setup / 'odd.jsonl'}:2: repeated {repeated}\n"
+
+
+@pytest.mark.parametrize("case", ["eval_vqa_blank_manifest_answer",
+                                  "train_blank_manifest_answer"])
+def test_blank_manifest_answers_name_the_manifest_record_and_field(case, pair_setup, capsys):
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    assert capsys.readouterr().err == (f"qsup: error: {pair_setup / 'odd.json'}: questions[0]: "
+                                       "field 'answer' must be a non-empty string\n")
+    assert not (pair_setup / "out").exists()
+
+
+@pytest.mark.parametrize("case, flag, missing", [
+    ("eval_vqa_missing_prediction", "--pred", "no prediction for question 'q1'"),
+    ("bootstrap_missing_prediction", "--pred", "no prediction for question 'q1'"),
+    ("eval_extraction_missing_labels", "--labels", "no extracted labels for image 1"),
+])
+def test_missing_references_name_the_file_they_refer_to(case, flag, missing, pair_setup, capsys):
+    argv = CONTRACT_CASES[case][0](pair_setup)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"qsup: error: {argv[argv.index(flag) + 1]}: {missing}\n"
 
 
 @pytest.mark.parametrize("case, message", [

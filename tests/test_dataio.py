@@ -149,6 +149,8 @@ class TestVqaAdapter:
             ],
         }))
         assert adapted == load_dataset(native)
+        save_dataset(adapted, tmp_path / "saved.json")
+        assert load_dataset(tmp_path / "saved.json") == adapted
 
     def test_round_trips_through_native_format(self, tmp_path):
         q_path = tmp_path / "questions.json"
@@ -465,6 +467,8 @@ def test_manifest_rejects_booleans_and_negative_feature_refs(tmp_path, image, qu
     ({"question": ""}, {}),
     ({"multiple_choices": 5}, {}),
     ({}, {"multiple_choice_answer": 3}),
+    ({"image_id": -5}, {}),
+    ({}, {"multiple_choice_answer": "   "}),
 ])
 def test_vqa_adapter_checks_field_types(tmp_path, question, annotation):
     q_path = tmp_path / "questions.json"
@@ -530,7 +534,7 @@ def test_run_config_ignores_table_paths(tmp_path):
     ([("red", 1), ("blue", 1)], "annotations[1]: repeated question_id 1"),
     ([("red", 1), ("blue", 1), (3, 1)], "annotations[1]: repeated question_id 1"),
     ([("red", 1), (3, 2), ("blue", 1)],
-     "annotations[1]: field 'multiple_choice_answer' must be a string"),
+     "annotations[1]: field 'multiple_choice_answer' must be a non-empty string"),
     ([("red", "q1"), ("blue", "q1")], "annotations[1]: repeated question_id 'q1'"),
     ([("red", 1), ("blue", 99)], "annotations[1]: question_id 99 names no question"),
     ([("red", "1")], "annotations[0]: question_id '1' names no question"),
@@ -553,6 +557,7 @@ def test_vqa_adapter_rejects_a_repeated_annotation(tmp_path, annotations, messag
 _CHARS = st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\u00e9\U0001f600'), st.characters())
 _TEXTS = st.text(_CHARS, max_size=6)
 _STRING_LISTS = st.lists(_TEXTS, max_size=3)
+_NON_BLANK = st.text(_CHARS, min_size=1, max_size=8).filter(str.strip)
 
 
 @st.composite
@@ -564,11 +569,11 @@ def _manifests(draw):
     ids = st.one_of(st.integers(-2**70, 2**70), _TEXTS)
     questions = []
     for qid in draw(st.lists(ids, unique=True, max_size=5)) if image_ids else []:
-        answer = draw(st.none() | _TEXTS)
+        answer = draw(st.none() | _NON_BLANK)
         choices = draw(st.none() | _STRING_LISTS)
         if answer is not None and choices is not None and answer not in choices:
             choices.append(answer)
-        text = draw(st.text(_CHARS, min_size=1, max_size=8).filter(str.strip))
+        text = draw(_NON_BLANK)
         questions.append(Question(qid, draw(st.sampled_from(image_ids)), text, answer, choices))
     return DatasetManifest(images, tuple(questions))
 

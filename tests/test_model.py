@@ -485,7 +485,7 @@ class TestSparseBatchedPath:
     @example([[], ["zebra", "unseen"], ["cat", "is", "cat", "cat", "unseen"], []])
     def test_position_bag_rows_count_as_bow_featurize(self, token_lists):
         vocab = Vocabulary(["what", "is", "red", "cat"])
-        bags = model_module._bags([token_positions("", vocab, tokens) for tokens in token_lists])
+        bags = model_module._bags([token_positions(" ".join(tokens), vocab) for tokens in token_lists])
         assert len(bags.ptr) == len(token_lists) + 1 and bags.ptr[0] == 0
         for r, tokens in enumerate(token_lists):
             positions = bags.positions[bags.ptr[r] : bags.ptr[r + 1]].tolist()
@@ -942,10 +942,9 @@ class TestExemplarRowsTraining:
     @pytest.mark.parametrize("mode", list(AugmentMode))
     def test_rows_train_as_the_exemplar_stream_and_the_reference(self, mode):
         records, features, vocab = oov_setup()
-        tokens = {q.text: tokenize(q.text) for r in records for q in r.all_questions}
         losses = {"rows": [], "objects": []}
         from_rows = train(exemplar_rows(records, mode), features, vocab, OOV_CONFIG,
-                          lambda e, loss: losses["rows"].append(loss), tokens)
+                          lambda e, loss: losses["rows"].append(loss))
         exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
         from_objects = train(iter(exemplars), features, vocab, OOV_CONFIG,
                              lambda e, loss: losses["objects"].append(loss))
@@ -985,7 +984,7 @@ class TestExemplarRowsTraining:
             self, mode, batch_size, window_slots, monkeypatch):
         records, features, vocab = oov_setup()
         examples, n, labels, answer_vocab = model_module._index_units(
-            exemplar_rows(records, mode), features, vocab, 2, None)
+            exemplar_rows(records, mode), features, vocab, 2)
         # the reference: the kept exemplars as CSR lists of bag rows, one per distinct text
         kept = [e for r in records if r.answered for e in generate_exemplars(r, mode)
                 if e.answer in answer_vocab]
