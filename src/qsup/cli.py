@@ -83,7 +83,7 @@ def _image_features(path: str | Path, refs: Iterable[tuple[int, int]]) -> dict:
     features = {}
     for image_id, ref in refs:
         if ref not in table:
-            raise DanglingReference(f"image {image_id}: no features under ref {ref}")
+            raise DanglingReference(f"{path}: image {image_id}: no features under ref {ref}")
         features[image_id] = table[ref]
     return features
 
@@ -142,7 +142,8 @@ def _cmd_train(args) -> int:
     cfg = dataio.load_run_config(args.config)
     manifest = dataio.load_dataset(cfg.dataset)
     records = dataio.build_image_records(manifest)
-    features = _image_features(cfg.features, ((r.image_id, r.feature_ref) for r in records))
+    features = _image_features(cfg.features,
+                               ((r.image_id, r.feature_ref) for r in records if r.answered))
 
     text_vocab = (
         vocabmod.load_vocabulary(cfg.vocab)

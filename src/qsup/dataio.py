@@ -79,12 +79,13 @@ class DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# JSON inputs: every reader checks its fields with the kinds below
+# JSON inputs: every record list is read by _records, with the field kinds below
 
 
 def _read_json(path: str | Path, lines: bool = False):
-    """The JSON object in ``path``; with ``lines``, a list of (line number,
-    object) for each non-blank line of a JSONL file."""
+    """The JSON object in ``path``; with ``lines``, the objects on the
+    non-blank lines of a JSONL file and a function naming the i-th of them
+    by its line number."""
     text = read_text(path)
     if lines:
         chunks = [(n, c) for n, c in enumerate(text.split("\n"), start=1) if c.strip()]
@@ -98,8 +99,17 @@ def _read_json(path: str | Path, lines: bool = False):
             raise ParseError(f"{path}:{first + exc.lineno - 1}: {exc.msg}") from exc
         if not isinstance(value, dict):
             raise ParseError(f"{path}:{first}: expected an object")
-        values.append((first, value))
-    return values if lines else values[0][1]
+        values.append(value)
+    if not lines:
+        return values[0]
+    numbers = [n for n, _ in chunks]
+    return values, lambda i: f"{path}:{numbers[i]}"
+
+
+def _listed(payload: dict, key: str, path: str | Path) -> tuple:
+    """The record list ``payload[key]`` (absent or null: empty) and a
+    function naming its i-th record."""
+    return _field(payload, key, _LIST, path, []), lambda i: f"{path}: {key}[{i}]"
 
 
 _REQUIRED = object()
@@ -151,46 +161,30 @@ def _columns_pass(records: list, fields: tuple) -> bool:
     return True
 
 
-def _records(payload: dict, key: str, context, fields: tuple, build, closed: bool = False) -> list:
-    """``build(*values)`` for each object in the list ``payload[key]``, with
-    the values of ``fields`` (absent optional ones None); if ``closed``, a
-    key outside ``fields`` is a fault too.  Only when a column check, the key
-    check or a build fails are the records walked by ``_walk``."""
-    records = _field(payload, key, _LIST, context, [])
+def _records(records: list, where, fields: tuple, build, closed: bool = False,
+             unique: str | None = None) -> list:
+    """``build(*values)`` for each object of ``records``, with the values of
+    ``fields`` (absent optional ones None).  A fault is a field its check
+    refuses, a key outside ``fields`` when ``closed``, a value of the field
+    ``unique`` seen before, or a ValueError from ``build``.  The records are
+    checked a column at a time; only on a fault are they walked one by one,
+    field by field, so that the first faulty record, ``where(i)``, raises."""
     keys = [k for k, _, _ in fields]
-    if _columns_pass(records, fields) and not (closed and set().union(*records).difference(keys)):
+    if (_columns_pass(records, fields) and not (closed and set().union(*records).difference(keys))
+            and (unique is None or len(set(map(itemgetter(unique), records))) == len(records))):
         try:
             return [build(*map(record.get, keys)) for record in records]
         except ValueError:
             pass  # an answer outside its choices: the walk names the record
-    return _walk(enumerate(records), lambda i: f"{context}: {key}[{i}]", fields, build, closed)
-
-
-def _keyed(numbered: list, where, key: str, key_kind: tuple, value: str, value_kind: tuple) -> dict:
-    """``key`` -> ``value`` over the (number, record) pairs ``numbered``, a
-    key in two records being a ParseError.  Only when a column check fails or
-    a key repeats are the records walked by ``_walk``."""
-    records = [record for _, record in numbered]
-    if _columns_pass(records, fields := ((key, key_kind, False), (value, value_kind, False))):
-        table = dict(map(itemgetter(key, value), records))
-        if len(table) == len(records):
-            return table
-    return dict(_walk(numbered, where, fields, lambda *pair: pair, unique=key))
-
-
-def _walk(numbered, where, fields: tuple, build, closed: bool = False, unique=None) -> list:
-    """``build(*values)`` for each (number, record) pair, checking the record
-    named ``where(number)`` field by field as ``_records`` describes, so the
-    first fault raises; a value of the field ``unique`` seen before is one too."""
-    built, first, keys = [], {}, [k for k, _, _ in fields]  # first: value -> its first record
-    for number, record in numbered:
-        context = where(number)
+    built, first = [], {}  # first: value of ``unique`` -> its first record
+    for i, record in enumerate(records):
+        context = where(i)
         if not isinstance(record, dict):
             raise ParseError(f"{context}: expected an object")
         values = []
         for k, kind, optional in fields:
             values.append(_field(record, k, kind, context, None if optional else _REQUIRED))
-            if k == unique and first.setdefault(values[-1], number) != number:
+            if k == unique and first.setdefault(values[-1], i) != i:
                 raise ParseError(f"{context}: repeated {k} {values[-1]!r}")
         unknown = [k for k in record if k not in keys] if closed else []
         if unknown:
@@ -209,37 +203,28 @@ _QUESTION_FIELDS = (("id", _ID, False), ("image_id", _INT, False), ("text", _TEX
                     ("choices", _STRINGS, True), ("answer", _TEXT, True))
 _VQA_QUESTION_FIELDS = (("question_id", _ID, False), ("image_id", _INDEX, False),
                         ("question", _TEXT, False), ("multiple_choices", _STRINGS, True))
-
-
-def _validate_manifest(images: list[ImageEntry], questions: list[Question]) -> DatasetManifest:
-    image_ids = set()
-    for entry in images:
-        if entry.image_id in image_ids:
-            raise ParseError(f"duplicate image_id {entry.image_id}")
-        image_ids.add(entry.image_id)
-    seen_q = set()
-    for q in questions:
-        if q.id in seen_q:
-            raise ParseError(f"duplicate question id {q.id!r}")
-        seen_q.add(q.id)
-        if q.image_id not in image_ids:
-            raise DanglingReference(
-                f"question {q.id!r} references unknown image {q.image_id}"
-            )
-    return DatasetManifest(tuple(images), tuple(questions))
+_ANNOTATION_FIELDS = (("question_id", _ID, False), ("multiple_choice_answer", _TEXT, False))
 
 
 def load_dataset(path: str | Path) -> DatasetManifest:
-    """Read and validate a dataset manifest (native JSON layout); a record
-    key outside ``_IMAGE_FIELDS``/``_QUESTION_FIELDS`` is a ParseError."""
+    """Read and validate a dataset manifest (native JSON layout).  A record
+    key outside ``_IMAGE_FIELDS``/``_QUESTION_FIELDS`` and a repeated image
+    or question id are ParseErrors, and a question of an image no record
+    lists is a DanglingReference; each names the file and the record."""
     payload = _read_json(path)
-    images = _records(payload, "images", path, _IMAGE_FIELDS,
+    images = _records(*_listed(payload, "images", path), _IMAGE_FIELDS,
                       lambda i, gt, ref: ImageEntry(i, i if ref is None else ref,
-                                                    None if gt is None else tuple(gt)), True)
-    questions = _records(payload, "questions", path, _QUESTION_FIELDS,
+                                                    None if gt is None else tuple(gt)),
+                      True, "image_id")
+    questions = _records(*_listed(payload, "questions", path), _QUESTION_FIELDS,
                          lambda qid, image_id, text, choices, answer:
-                         Question(qid, image_id, text, answer, choices), True)
-    return _validate_manifest(images, questions)
+                         Question(qid, image_id, text, answer, choices), True, "id")
+    image_ids = {e.image_id for e in images}
+    if not image_ids.issuperset(q.image_id for q in questions):
+        i, q = next((i, q) for i, q in enumerate(questions) if q.image_id not in image_ids)
+        raise DanglingReference(f"{path}: questions[{i}]: question {q.id!r} "
+                                f"references unknown image {q.image_id}")
+    return DatasetManifest(tuple(images), tuple(questions))
 
 
 _int = int.__repr__  # as json.dumps writes an int
@@ -281,41 +266,40 @@ def load_vqa_dataset(questions_path: str | Path, annotations_path: str | Path | 
     ``questions_path`` holds {"questions": [{question_id, image_id, question,
     multiple_choices?}]}; the optional annotations file holds
     {"annotations": [{question_id, multiple_choice_answer}]}, at most one per
-    question and each naming one.  Records may carry keys not read here.
+    question and each naming one.  A question id repeated in either file is
+    a ParseError.  Records may carry keys not read here.
     """
     answers: dict = {}
     if annotations_path is not None:
-        records = _field(_read_json(annotations_path), "annotations", _LIST, annotations_path, [])
-        answers = _keyed(list(enumerate(records)),
-                         lambda i: f"{annotations_path}: annotations[{i}]",
-                         "question_id", _ID, "multiple_choice_answer", _TEXT)
-    questions = _records(_read_json(questions_path), "questions", questions_path,
+        answers = dict(_records(*_listed(_read_json(annotations_path), "annotations",
+                                         annotations_path),
+                                _ANNOTATION_FIELDS, lambda *pair: pair, unique="question_id"))
+    questions = _records(*_listed(_read_json(questions_path), "questions", questions_path),
                          _VQA_QUESTION_FIELDS, lambda qid, image_id, text, choices:
-                         Question(qid, image_id, text, answers.get(qid), choices))
-    # dict.fromkeys keeps first-appearance order and runs in linear time
-    images = [ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions)]
-    manifest = _validate_manifest(images, questions)
+                         Question(qid, image_id, text, answers.get(qid), choices),
+                         unique="question_id")
     dangling = answers.keys() - (q.id for q in questions)
-    if dangling:
-        i, qid = next((i, r["question_id"]) for i, r in enumerate(records)
-                      if r["question_id"] in dangling)
+    if dangling:  # answers' keys are in record order, one per record
+        i, qid = next((i, qid) for i, qid in enumerate(answers) if qid in dangling)
         raise ParseError(f"{annotations_path}: annotations[{i}]: question_id {qid!r} "
                          "names no question")
-    return manifest
+    # dict.fromkeys keeps first-appearance order and runs in linear time
+    images = (ImageEntry(i, i, None) for i in dict.fromkeys(q.image_id for q in questions))
+    return DatasetManifest(tuple(images), tuple(questions))
 
 
 def load_predictions(path: str | Path) -> dict[str | int, str]:
     """Question id -> answer from a predictions JSONL file, one
     {question_id, answer} object per line."""
-    return _keyed(_read_json(path, lines=True), lambda n: f"{path}:{n}",
-                  "question_id", _ID, "answer", _STR)
+    return dict(_records(*_read_json(path, lines=True), (("question_id", _ID, False),
+                         ("answer", _STR, False)), lambda *pair: pair, unique="question_id"))
 
 
 def load_labels(path: str | Path) -> dict[int, list[str]]:
     """Image id -> labels from an extracted-labels JSONL file, one
     {image_id, labels} object per line."""
-    return _keyed(_read_json(path, lines=True), lambda n: f"{path}:{n}",
-                  "image_id", _INT, "labels", _STRINGS)
+    return dict(_records(*_read_json(path, lines=True), (("image_id", _INT, False),
+                         ("labels", _STRINGS, False)), lambda *pair: pair, unique="image_id"))
 
 
 def questions_by_image(manifest: DatasetManifest) -> dict[int, list[Question]]:

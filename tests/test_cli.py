@@ -262,6 +262,19 @@ class TestTrainPredictEval:
         model = (pair_setup / "out" / "model.qsmd").read_bytes()
         assert (pair_setup / "wide" / "model.qsmd").read_bytes() == model
 
+    def test_an_image_without_answers_needs_no_feature_row(self, pair_setup):
+        payload = json.loads((pair_setup / "data.json").read_text())
+        payload["images"].append({"image_id": 500, "feature_ref": 999})
+        payload["questions"].append({"id": "u500", "image_id": 500, "text": "is it a circle"})
+        (pair_setup / "weak.json").write_text(json.dumps(payload))
+        assert main(_run_config_with(pair_setup, dataset="weak.json", out_dir="lacking")) == 0
+        table = dataio.load_features(pair_setup / "feats.qvft")
+        save_features({**table, 999: np.ones(4)}, pair_setup / "full.qvft")
+        assert main(_run_config_with(pair_setup, dataset="weak.json", features="full.qvft",
+                                     out_dir="full")) == 0
+        model = (pair_setup / "full" / "model.qsmd").read_bytes()
+        assert (pair_setup / "lacking" / "model.qsmd").read_bytes() == model
+
     def test_eval_rerun_is_reproducible(self, pair_setup, capsys):
         base = pair_setup
         main(["train", "--config", str(base / "run.json")])
@@ -858,7 +871,8 @@ def test_binary_file_errors_name_the_file(case, flag, pair_setup, capsys):
                                   "predict_image_without_features"])
 def test_missing_features_name_the_image_before_any_output(case, pair_setup, capsys):
     assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
-    assert capsys.readouterr().err == "qsup: error: image 59: no features under ref 59\n"
+    assert capsys.readouterr().err == (f"qsup: error: {pair_setup / 'partial.qvft'}: "
+                                       "image 59: no features under ref 59\n")
     assert not (pair_setup / "p.jsonl").exists()
     assert not (pair_setup / "out").exists()
 
@@ -1060,7 +1074,9 @@ def test_seeded_manifest_mutations_keep_the_cli_contract(tmp_path, capsys):
     """100 seeded mutations of a small demo manifest, each run through every
     command that reads a manifest: each run exits 0, 1 or 2, a failure with
     one error line, and no run raises (a command missing an import would).
-    A field of the other record type is an unknown field, and an error."""
+    A field of the other record type is an unknown field, and an error.
+    ``extract`` reads only the manifest and the packaged tables, so each of
+    its data errors names the manifest."""
     records, features = make_pair_dataset(20, seed=7)
     save_dataset(records_to_manifest(records), tmp_path / "demo.json")
     save_features(features, tmp_path / "f.qvft")
@@ -1103,5 +1119,7 @@ def test_seeded_manifest_mutations_keep_the_cli_contract(tmp_path, capsys):
             context = f"seed {seed} ({what}), {argv[0]} exit {code}: {err!r}"
             assert code in (0, 1, 2) and "Traceback" not in err, context
             assert len(error_lines) == (code != 0), context
+            if argv[0] == "extract" and code == 2:  # it reads no file but the manifest
+                assert error_lines[0].startswith(f"qsup: error: {m}: "), context
             codes[code] += 1
     assert codes[0] > 50 and codes[2] > 50, codes  # the mutations reach both outcomes
