@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 # augment, model, vocab and evalstats are imported by the commands that run them,
-# so that extract and eval --task vqa start without numpy
+# so that extract, eval and word-targets start without numpy
 from . import dataio, qparse
 from .errors import DanglingReference, DimMismatch, EmptyVector, QsupError
 from .modes import AugmentMode, WordTargetMode
@@ -315,7 +315,7 @@ def _cmd_word_targets(args) -> int:
     words, targets = vocabmod.word_targets(grouped, mode, text_vocab, obj_vocab, types)
     out_path = Path(args.out)
     write_lines(out_path, (
-        json.dumps({"image_id": target.image_id, "indices": target.indices()})
+        json.dumps({"image_id": target.image_id, "indices": target.indices})
         for target in targets
     ))
     write_lines(out_path.with_suffix(out_path.suffix + ".words"), words)

@@ -411,7 +411,7 @@ def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[i
         if len(firsts) < whole:  # name the first id seen twice
             repeats = np.ones(whole, bool)
             repeats[firsts] = False
-            raise DuplicateId(f"image {int(ids[repeats.argmax()])} appears twice")
+            raise DuplicateId(f"{path}: image {int(ids[repeats.argmax()])} appears twice")
         if whole < count:
             what = "id" if left - whole * row_size < 8 else "features"
             raise TruncatedFile(f"{fh.name}: file ended while reading row {whole} {what}")

@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import EmptyCorpus, KTooLarge, ParseError
 from .modes import WordTargetMode, coerce
 from .qparse import (
@@ -75,13 +73,6 @@ class BowVector:
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def __add__(self, other: "BowVector") -> "BowVector":
-        if self.vocab_size != other.vocab_size:
-            raise ValueError("cannot add bow vectors over different vocabularies")
-        merged = Counter(self.entries)
-        merged.update(other.entries)
-        return BowVector(dict(merged), self.vocab_size)
 
 
 def build_vocabulary(corpus: Sequence[Question], min_count: int = 1) -> Vocabulary:
@@ -151,13 +142,11 @@ def tfidf_rank(corpus: Sequence[Question], vocab: Vocabulary, k: int) -> list[st
 
 @dataclass(frozen=True)
 class WordTarget:
-    """Binary word-presence labels for one image."""
+    """Word-presence labels for one image: the ascending label-space
+    positions of the words present."""
 
     image_id: int
-    labels: np.ndarray
-
-    def indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.labels)]
+    indices: tuple[int, ...]
 
 
 def word_targets(
@@ -170,16 +159,18 @@ def word_targets(
     """(words, targets): multi-label word targets per image for visual-model
     finetuning, and the label-space words they index.
 
-    full: presence of each vocabulary word in the image's questions.
+    full: the vocabulary words in the image's questions.
     tfidf1024: the same, restricted to the top tf-idf words (at most 1024).
-    classes80: the extracted object-class vector.
+    classes80: the extracted object classes.
     """
     mode = coerce(WordTargetMode, mode, "word-target")
     if mode is WordTargetMode.CLASSES_80:
         if object_vocab is None or type_table is None:
             raise ValueError("classes80 mode needs an object vocabulary and type table")
+        position = object_vocab.class_index
         return object_vocab.class_names, [
-            WordTarget(image_id, extract_objects_multi(list(qs), object_vocab, type_table).as_vector)
+            WordTarget(image_id, tuple(sorted(position[c] for c in extract_objects_multi(
+                list(qs), object_vocab, type_table).present)))
             for image_id, qs in questions_by_image.items()
         ]
 
@@ -188,13 +179,11 @@ def word_targets(
     if mode is WordTargetMode.TFIDF_1024:
         corpus = [q for qs in questions_by_image.values() for q in qs]
         vocab = Vocabulary(tfidf_rank(corpus, vocab, min(1024, len(vocab))))
-    out = []
-    for image_id, qs in questions_by_image.items():
-        labels = np.zeros(len(vocab), dtype=np.int8)
-        for q in qs:
-            labels[token_positions(q.text, vocab)] = 1
-        out.append(WordTarget(image_id, labels))
-    return vocab.words, out
+    return vocab.words, [
+        WordTarget(image_id, tuple(sorted(set().union(
+            *(token_positions(q.text, vocab) for q in qs)))))
+        for image_id, qs in questions_by_image.items()
+    ]
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

@@ -331,6 +331,46 @@ def test_predict_memory_is_flat_in_the_feature_rows_the_manifest_does_not_name()
     assert many - none <= 6.0, (none, many)
 
 
+# runs the command in sys.argv[1:] as its child and prints the child's exit code and
+# peak resident size; a fresh interpreter, so the child does not take on the test's peak
+_PEAK_OF_CHILD = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def word_targets_peak_mib(base, pool_size):
+    """Peak resident MiB of `qsup word-targets --mode full` on 5,000 images of
+    5 questions of 4 words each, drawn from a pool of ``pool_size`` words."""
+    rng = random.Random(8)
+    pool = [f"w{i}" for i in range(pool_size)]
+    questions = tuple(qparse.Question(f"q{image}.{k}", image, " ".join(rng.choices(pool, k=4)))
+                      for image in range(5000) for k in range(5))
+    base.mkdir()
+    save_dataset(DatasetManifest(tuple(ImageEntry(i, i) for i in range(5000)), questions),
+                 base / "data.json")
+    argv = [sys.executable, "-m", "qsup.cli", "word-targets", "--questions",
+            str(base / "data.json"), "--mode", "full", "--out", str(base / "t.jsonl")]
+    env = dict(os.environ, PYTHONPATH=str(Path(qsup.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    code, peak = map(int, run.stdout.split())
+    assert code == 0
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="the probe reaps its child with os.wait4")
+def test_word_target_memory_is_flat_in_the_vocabulary_size(tmp_path):
+    # 5,000 images over a ~20,000-word vocabulary are ~95 MiB as dense int8 rows
+    small = word_targets_peak_mib(tmp_path / "small", 200)
+    large = word_targets_peak_mib(tmp_path / "large", 20000)
+    assert large - small <= 16.0, (small, large)
+
+
 class TestPredictOutput:
     def predict(self, base, use_extras):
         argv = ["predict", "--model", str(base / "m.qsmd"), "--vocab", str(base / "v.txt"),
@@ -422,7 +462,7 @@ class TestWordTargets:
         _, expected = vocab.word_targets(dataio.questions_by_image(manifest), "tfidf1024",
                                       vocab.build_vocabulary(list(manifest.questions)))
         rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert rows == [{"image_id": t.image_id, "indices": t.indices()} for t in expected]
+        assert rows == [{"image_id": t.image_id, "indices": list(t.indices)} for t in expected]
 
     def test_classes80_mode(self, tmp_path):
         write_table2_fixture(tmp_path / "data.json")
@@ -587,6 +627,16 @@ def _features_without(base, image_id):
     del table[image_id]
     save_features(table, base / "partial.qvft")
     return "partial.qvft"
+
+
+def _features_with_repeated_row(base):
+    """pair_setup's feature file with its first row written again at the end; its name."""
+    raw = (base / "feats.qvft").read_bytes()
+    magic, version, count, dim = struct.unpack_from("<4sIII", raw)
+    first_row = raw[16 : 16 + 8 + 4 * dim]
+    (base / "twice.qvft").write_bytes(
+        struct.pack("<4sIII", magic, version, count + 1, dim) + raw[16:] + first_row)
+    return "twice.qvft"
 
 
 def _predict_without_features_of(image_id):
@@ -822,6 +872,8 @@ CONTRACT_CASES = {
     "train_nan_feature_value": (
         lambda b: _run_config_with(b, features=_features_with_nan(b, 59)), 2),
     "predict_nan_feature_value": (_predict_with_nan_features_of(59), 2),
+    "train_repeated_feature_row": (
+        lambda b: _run_config_with(b, features=_features_with_repeated_row(b)), 2),
     "train_diverging_learning_rate": (_train_fields(learning_rate=1e300), 2),
     "predict_model_nan_parameter": (_predict_with_cut_file("--model", _nan_bias), 2),
     "predict_vocab_size_mismatch": (_predict_with([b"yes", b"no"], b"what\ncolor\n"), 2),
@@ -883,6 +935,14 @@ def test_non_finite_features_name_the_file_and_image_before_any_output(case, pai
     err = capsys.readouterr().err
     assert err == f"qsup: error: {pair_setup / 'nan.qvft'}: image 59: non-finite feature value\n"
     assert not (pair_setup / "p.jsonl").exists()
+    assert not (pair_setup / "out").exists()
+
+
+def test_a_repeated_feature_row_names_the_file_before_any_output(pair_setup, capsys):
+    assert main(CONTRACT_CASES["train_repeated_feature_row"][0](pair_setup)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qsup: error: {pair_setup / 'twice.qvft'}: image ")
+    assert err.endswith(" appears twice\n") and err.count("\n") == 1
     assert not (pair_setup / "out").exists()
 
 

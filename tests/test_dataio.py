@@ -203,7 +203,7 @@ class TestFeatureFile:
         ([1, 2, 3], 16 + 8, TruncatedFile, "{path}: file ended while reading row 1 features"),
         ([1, 2, 3], 16 + 11, TruncatedFile, "{path}: file ended while reading row 1 features"),
         ([1, 2, 3], 0, TruncatedFile, "{path}: file ended while reading row 0 id"),
-        ([5, 5, 3], 16 + 16 + 3, DuplicateId, "image 5 appears twice"),  # read before the cut
+        ([5, 5, 3], 16 + 16 + 3, DuplicateId, "{path}: image 5 appears twice"),  # read before the cut
         ([5, 6, 5], 16 + 16 + 3, TruncatedFile, "{path}: file ended while reading row 2 id"),
     ])
     def test_the_first_fault_in_row_order_is_named(self, tmp_path, ids, kept, error, message,
@@ -243,7 +243,7 @@ class TestFeatureFile:
         path.write_bytes({"truncated last row": payload[:-3],
                           "trailing bytes": payload + b"\0"}.get(fault, payload))
         expected = {
-            "repeated unnamed id": (DuplicateId, "image 2 appears twice"),
+            "repeated unnamed id": (DuplicateId, f"{path}: image 2 appears twice"),
             "truncated last row": (TruncatedFile, f"{path}: file ended while reading row 2 features"),
             "trailing bytes": (ParseError, f"{path}: file goes on after the 3 rows its header declares"),
         }[fault]

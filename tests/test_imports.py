@@ -56,7 +56,7 @@ _WITHOUT_NUMPY = (
 )
 
 
-def test_extract_and_eval_start_without_numpy(tmp_path):
+def test_extract_eval_and_word_targets_start_without_numpy(tmp_path):
     records, features = make_pair_dataset(120, seed=7)  # the README's demo data
     manifest = DatasetManifest(tuple(ImageEntry(r.image_id, r.image_id, ()) for r in records),
                                tuple(q for r in records for q in r.all_questions))
@@ -66,14 +66,19 @@ def test_extract_and_eval_start_without_numpy(tmp_path):
         json.dumps({"question_id": q.id, "image_id": q.image_id, "answer": "yes"}) + "\n"
         for q in manifest.questions))
     env = dict(os.environ, PYTHONPATH=str(Path(qsup.__file__).parents[1]))
+    modes = ("full", "tfidf1024", "classes80")
     for argv in (["extract", "--questions", "data.json", "--out", "labels.jsonl"],
                  ["eval", "--task", "vqa", "--pred", "pred.jsonl", "--dataset", "data.json",
                   "--out-prefix", "report"],
                  ["eval", "--task", "extraction", "--labels", "labels.jsonl",
-                  "--dataset", "data.json", "--out-prefix", "extraction"]):
+                  "--dataset", "data.json", "--out-prefix", "extraction"],
+                 *(["word-targets", "--questions", "data.json", "--mode", mode,
+                    "--out", f"targets_{mode}.jsonl"] for mode in modes)):
         run = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], cwd=tmp_path,
                              env=env, capture_output=True, text=True)
         assert run.returncode == 0, (argv[0], run.stderr)
     assert len((tmp_path / "labels.jsonl").read_text().splitlines()) == 120
     assert json.loads((tmp_path / "report.json").read_text())["n_examples"]
     assert len(json.loads((tmp_path / "extraction.json").read_text())["per_class"]) == 80
+    for mode in modes:
+        assert len((tmp_path / f"targets_{mode}.jsonl").read_text().splitlines()) == 120
