@@ -17,11 +17,14 @@ with the number of exemplars the table describes.  One batched forward pass,
 ``_forward``, serves training, the full-data loss and predict.  Training is
 plain mini-batch SGD with analytic gradients, including the Jacobian of the
 L2 normalization applied to the two text blocks; each step updates only the
-embedding rows of words in the batch.  Predict goes a window of whole images
-at a time: each question's row is embedded once under each embedding, a
-question's raw extra block is its image's total less its own row (O(k) for k
-questions), and the image term W_img @ img + b, computed once per image, is
-the offset of its questions' forward pass over a zero-width image block.
+embedding rows of words in the batch and the fc columns of the blocks it uses:
+a trailing text block of no words (the extra block of a ``plain`` batch) is
+left out, and the input gradient covers the text columns only.  Predict goes a
+window of whole images at a time: each question's row is embedded once under
+each embedding, a question's raw extra block is its image's total less its own
+row (O(k) for k questions), and the image term W_img @ img + b, computed once
+per image, is the offset of its questions' forward pass over a zero-width image
+block.
 ``predict`` is one group [target, *extras] of that road, answering its
 target.  The one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``)
 gives block i of a batch of n bag row i as its target and row n + i as extras.
@@ -345,20 +348,24 @@ def _forward(model: LinearModel, images: np.ndarray, raws: Sequence[np.ndarray],
     loss and predict: x is ``images`` then each raw text block of ``raws``
     L2-normalized, norms their raw norms; the logits are x times the fc columns
     of those blocks, from column d_img - images.shape[1], plus ``offset``."""
-    normed, norms = zip(*map(_normalize_rows, raws))
-    x = np.concatenate([images, *normed], axis=1)
+    normed = [_normalize_rows(raw) for raw in raws]
+    x = np.concatenate([images, *(block for block, _ in normed)], axis=1)
     lo = model.dims.d_img - images.shape[1]
     z = x @ model.fc_weights[:, lo : lo + x.shape[1]].T
     z += offset
     z -= z.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z, x, norms
+    return z, x, [norms for _, norms in normed]
 
 
 def _embed(model: LinearModel, batch):
     """``_forward``'s inputs for a ``_batches`` or ``_block_batch`` batch: its
-    normalized image rows, each text block's raw embedding, and fc_bias."""
+    normalized image rows, each text block's raw embedding, and fc_bias.  A
+    trailing block of no words is left out: its raw embedding is zero, so its
+    fc columns add nothing to the logits and get no gradient."""
     images, texts = batch
+    while texts and not len(texts[-1][0]):
+        texts = texts[:-1]
     embeddings = model.embed_target, model.embed_extra
     return images, [c @ _rows(e, w) for (w, c), e in zip(texts, embeddings)], model.fc_bias
 
@@ -383,27 +390,26 @@ def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
 
 
 def _backward(model: LinearModel, batch, labels: np.ndarray):
-    """(loss, d fc_weights, d fc_bias, text rows) of the batch's mean cross-entropy;
-    text rows holds (word positions, gradient rows) for each embedding, whose
-    other rows have zero gradient."""
+    """(log_probs, d fc_weights, d fc_bias, text rows) of the batch's mean
+    cross-entropy; d fc_weights covers the first x.shape[1] columns, those of
+    the blocks ``_embed`` keeps, and text rows holds (word positions, gradient
+    rows) for each kept embedding.  dx covers the text columns only."""
     log_probs, x, text_norms = _forward(model, *_embed(model, batch))
     picked = np.arange(len(labels)), labels
-    loss = float(-log_probs[picked].mean())
     dz = np.exp(log_probs)
     dz[picked] -= 1.0
     dz /= len(labels)
 
     d_img, d_t, _, _ = model.dims
-    dx = dz @ model.fc_weights
+    dx, x_text = dz @ model.fc_weights[:, d_img : x.shape[1]], x[:, d_img:]
     text_rows = []
-    bounds = zip(batch[1], text_norms, (d_img, d_img + d_t), (d_img + d_t, None))
-    for (words, counts), norms, lo, hi in bounds:
-        g, normed = dx[:, lo:hi], x[:, lo:hi]
+    for (words, counts), norms, lo, hi in zip(batch[1], text_norms, (0, d_t), (d_t, None)):
+        g, normed = dx[:, lo:hi], x_text[:, lo:hi]
         safe = norms > _NORM_EPS
         inner = (g * normed).sum(axis=1, keepdims=True)
         d_raw = np.where(safe, (g - normed * inner) / np.where(safe, norms, 1.0), g)
         text_rows.append((words, counts.T @ d_raw))
-    return loss, dz.T @ x, dz.sum(axis=0), text_rows
+    return log_probs, dz.T @ x, dz.sum(axis=0), text_rows
 
 
 def loss_and_grad(
@@ -424,11 +430,14 @@ def loss_and_grad(
     n_answers = len(model.answer_vocab)
     if not ((labels >= 0) & (labels < n_answers)).all():
         raise ValueError(f"labels outside answer vocabulary of {n_answers}: {labels}")
-    loss, d_weights, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
+    log_probs, d_used, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
     # float64 whatever the parameters' dtype: a float32 gradient would round
     d_embed = [np.zeros(model.embed_target.shape), np.zeros(model.embed_extra.shape)]
     for grad, (words, rows) in zip(d_embed, text_rows):
         grad[words] = rows
+    d_weights = np.zeros(model.fc_weights.shape)
+    d_weights[:, : d_used.shape[1]] = d_used
+    loss = float(-log_probs[np.arange(len(labels)), labels].mean())
     return loss, Gradients(*d_embed, d_weights, d_bias)
 
 
@@ -544,7 +553,7 @@ def train(
                 _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
                 # each gradient is a fresh array, so it is scaled in place
                 d_weights *= lr
-                model.fc_weights -= d_weights
+                model.fc_weights[:, : d_weights.shape[1]] -= d_weights
                 d_bias *= lr
                 model.fc_bias -= d_bias
                 for table, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):

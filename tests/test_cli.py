@@ -275,6 +275,24 @@ class TestTrainPredictEval:
         model = (pair_setup / "full" / "model.qsmd").read_bytes()
         assert (pair_setup / "lacking" / "model.qsmd").read_bytes() == model
 
+    def test_a_min_count_above_every_word_trains_and_predicts_over_no_words(self, pair_setup,
+                                                                           capsys):
+        # both text blocks of every step are empty: the model sees the image alone
+        assert main(_run_config_with(pair_setup, min_count=10**6, out_dir="wordless")) == 0
+        assert "trained model over 0 words and " in capsys.readouterr().out
+        assert (pair_setup / "wordless" / "vocab.txt").read_text() == ""
+        pred = pair_setup / "wordless.jsonl"
+        assert main(["predict", "--model", str(pair_setup / "wordless" / "model.qsmd"),
+                     "--vocab", str(pair_setup / "wordless" / "vocab.txt"),
+                     "--features", str(pair_setup / "feats.qvft"),
+                     "--questions", str(pair_setup / "data.json"),
+                     "--use-extras", "--out", str(pred)]) == 0
+        answers = {}
+        for line in pred.read_text().splitlines():
+            row = json.loads(line)
+            answers.setdefault(row["image_id"], set()).add(row["answer"])
+        assert len(answers) == 60 and all(len(a) == 1 for a in answers.values())
+
     def test_eval_rerun_is_reproducible(self, pair_setup, capsys):
         base = pair_setup
         main(["train", "--config", str(base / "run.json")])

@@ -62,6 +62,23 @@ def random_batch(rng, model, size=6):
     return batch
 
 
+def assert_central_differences(model, batch, grads, h=1e-5):
+    """Each analytic gradient entry agrees with a central difference of the loss."""
+    for name, param in model.parameters().items():
+        analytic = getattr(grads, name)
+        for idx in np.ndindex(param.shape):
+            orig = param[idx]
+            param[idx] = orig + h
+            up, _ = loss_and_grad(model, batch)
+            param[idx] = orig - h
+            down, _ = loss_and_grad(model, batch)
+            param[idx] = orig
+            numeric = (up - down) / (2 * h)
+            assert abs(analytic[idx] - numeric) <= 1e-4 * max(
+                abs(analytic[idx]), abs(numeric), 1e-8
+            ), f"{name}{idx}"
+
+
 class TestEmbedBow:
     def test_empty_bag_is_zero(self):
         embedding = np.arange(6, dtype=float).reshape(3, 2)
@@ -168,22 +185,7 @@ class TestLossAndGrad:
         model = random_model(rng, v=3, d_t=2, d_e=2, d_img=2, answers=("x", "y"))
         batch = random_batch(rng, model, size=5)
         _, grads = loss_and_grad(model, batch)
-        h = 1e-5
-        for name, param in model.parameters().items():
-            analytic = getattr(grads, name)
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = param[idx]
-                param[idx] = orig + h
-                up, _ = loss_and_grad(model, batch)
-                param[idx] = orig - h
-                down, _ = loss_and_grad(model, batch)
-                param[idx] = orig
-                numeric = (up - down) / (2 * h)
-                assert abs(analytic[idx] - numeric) <= 1e-4 * max(
-                    abs(analytic[idx]), abs(numeric), 1e-8
-                ), f"{name}{idx}"
+        assert_central_differences(model, batch, grads)
 
     def test_batch_duplication_invariance(self):
         rng = np.random.default_rng(13)
@@ -1010,6 +1012,53 @@ class TestExemplarRowsTraining:
                 assert words.dtype == want_words.dtype and np.array_equal(words, want_words)
                 assert got.shape == want_counts.shape
                 assert np.array_equal(got, want_counts)
+
+
+class TestDroppedExtraBlock:
+    """A step whose extra block has no words leaves that block out of the fc
+    products; the parameters it would have touched get no update."""
+
+    def test_plain_training_keeps_the_extra_parameters_at_their_initial_draws(self):
+        records, features, vocab, exemplars = separable_setup(60)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=9,
+                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=5)
+        model = train(exemplars, features, vocab, cfg)
+        rng = np.random.default_rng(9)
+        d_img, n_answers = model.dims.d_img, len(model.answer_vocab)
+        init_target = rng.uniform(-0.05, 0.05, (len(vocab), 5))
+        init_extra = rng.uniform(-0.05, 0.05, (len(vocab), 5))
+        init_fc = rng.uniform(-0.05, 0.05, (n_answers, d_img + 10))
+        assert np.array_equal(model.embed_extra, init_extra)
+        assert np.array_equal(model.fc_weights[:, d_img + 5 :], init_fc[:, d_img + 5 :])
+        assert not np.array_equal(model.embed_target, init_target)
+        assert not np.array_equal(model.fc_weights[:, : d_img + 5], init_fc[:, : d_img + 5])
+
+    @pytest.mark.parametrize("mode, has_extras", [
+        (AugmentMode.PLAIN, {False}), (AugmentMode.POWERSET, {False, True}),
+        (AugmentMode.CONCAT_ONLY, {True}), (AugmentMode.POWERSET_NO_EMPTY, {True})])
+    def test_single_example_steps_equal_the_reference(self, mode, has_extras):
+        records, features, vocab = oov_setup()
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=1, seed=8,
+                          answer_vocab_size=2, weight_init_scale=0.05, embed_dim=6)
+        exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
+        # every word is in the vocabulary, so a step drops the block just when it has no extras
+        assert {bool(e.extra) for e in exemplars if e.answer in ("yes", "black")} == has_extras
+        model = train(exemplar_rows(records, mode), features, vocab, cfg)
+        reference = reference_train(exemplars, features, vocab, cfg)
+        for name, param in reference.parameters().items():
+            assert np.array_equal(model.parameters()[name], param), name
+
+    def test_loss_and_grad_without_extras_is_full_shape_and_matches_central_differences(self):
+        rng = np.random.default_rng(19)
+        model = random_model(rng, v=4, d_t=2, d_e=3, d_img=2, answers=("x", "y", "z"))
+        batch = [(FeatureBlock(block.image, block.target_bow, BowVector({}, 4)), label)
+                 for block, label in random_batch(rng, model, size=5)]
+        _, grads = loss_and_grad(model, batch)
+        for name, param in model.parameters().items():
+            assert getattr(grads, name).shape == param.shape, name
+        assert not grads.embed_extra.any() and not grads.fc_weights[:, 4:].any()
+        assert grads.embed_target.any() and grads.fc_weights[:, :4].all()
+        assert_central_differences(model, batch, grads)
 
 
 def probe_peak_mib(n_questions, n_images):
