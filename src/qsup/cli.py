@@ -2,8 +2,8 @@
 
 Subcommands: extract, augment, train, predict, eval, bootstrap,
 word-targets, simulate.  Exit codes: 0 success, 1 usage error, 2 data
-error.  Every run writes a `<command>.snapshot.json` with its arguments and
-seed next to its outputs so results can be reproduced.
+error.  Every run writes its arguments and seed to `<output>.snapshot.json`,
+named after the output it describes, so results can be reproduced.
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / f"{command}.snapshot.json", payload, sort_keys=True, default=str)
+def _write_snapshot(output: str | Path, payload: dict) -> None:
+    """Write ``<output>.snapshot.json``, so no two runs' outputs share one snapshot."""
+    path = Path(f"{output}.snapshot.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, payload, sort_keys=True, default=str)
 
 
 def _args_snapshot(args: argparse.Namespace) -> dict:
@@ -106,7 +108,7 @@ def _cmd_extract(args) -> int:
         f'{{"image_id": {image_id}, "labels": [{", ".join(map(_encode, sorted(present)))}]}}'
         for image_id, present in labels
     ))
-    _write_snapshot(Path(args.out).parent, "extract", _args_snapshot(args))
+    _write_snapshot(args.out, _args_snapshot(args))
     return 0
 
 
@@ -132,7 +134,7 @@ def _cmd_augment(args) -> int:
         line for record in records if record.answered for line in _exemplar_lines(record, args.mode)
     ))
     logger.info("wrote %d exemplars", count)
-    _write_snapshot(Path(args.out).parent, "augment", _args_snapshot(args))
+    _write_snapshot(args.out, _args_snapshot(args))
     return 0
 
 
@@ -156,7 +158,7 @@ def _cmd_train(args) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dataio.save_model(model, cfg.out_dir / "model.qsmd")
     vocabmod.save_vocabulary(text_vocab, cfg.out_dir / "vocab.txt")
-    _write_snapshot(cfg.out_dir, "train", dataclasses.asdict(cfg))
+    _write_snapshot(cfg.out_dir / "train", dataclasses.asdict(cfg))
     print(
         f"trained model over {len(text_vocab)} words and "
         f"{len(model.answer_vocab)} answers -> {cfg.out_dir / 'model.qsmd'}"
@@ -194,7 +196,7 @@ def _cmd_predict(args) -> int:
         f'"image_id": {q.image_id}, "answer": {_encode(answer)}}}'
         for q, answer in zip(manifest.questions, answers)
     ))
-    _write_snapshot(Path(args.out).parent, "predict", _args_snapshot(args))
+    _write_snapshot(args.out, _args_snapshot(args))
     return 0
 
 
@@ -274,7 +276,7 @@ def _cmd_eval(args) -> int:
         "mean_precision": payload["mean_precision"],
         "mean_recall": payload["mean_recall"],
     }))
-    _write_snapshot(out_prefix.parent, "eval", _args_snapshot(args))
+    _write_snapshot(out_prefix, _args_snapshot(args))
     return 0
 
 
@@ -293,7 +295,7 @@ def _cmd_bootstrap(args) -> int:
     print(json.dumps(payload))
     if args.out:
         write_json(args.out, payload)
-    _write_snapshot(Path(args.out or args.pred).parent, "bootstrap", _args_snapshot(args))
+    _write_snapshot(args.out or f"{args.pred}.bootstrap", _args_snapshot(args))
     return 0
 
 
@@ -319,7 +321,7 @@ def _cmd_word_targets(args) -> int:
         for target in targets
     ))
     write_lines(out_path.with_suffix(out_path.suffix + ".words"), words)
-    _write_snapshot(out_path.parent, "word-targets", _args_snapshot(args))
+    _write_snapshot(out_path, _args_snapshot(args))
     return 0
 
 
@@ -342,7 +344,7 @@ def _cmd_simulate(args) -> int:
         kept, rest = augment.simulate_answered_fraction(records, args.fraction, args.seed)
         dataio.save_dataset(_records_to_manifest(kept, manifest), out_path)
         dataio.save_dataset(_records_to_manifest(rest, manifest), args.out_rest)
-    _write_snapshot(out_path.parent, "simulate", _args_snapshot(args))
+    _write_snapshot(out_path, _args_snapshot(args))
     return 0
 
 
@@ -380,7 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--questions", required=True, help="dataset manifest (JSON)")
     p.add_argument("--out", required=True, help="output JSONL of answers")
     p.add_argument("--use-extras", action="store_true",
-                   help="feed the image's other questions as the extra block")
+                   help="feed the image's other questions as the extra block "
+                        "(no effect on a model trained without extras)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("eval", help="accuracy or extraction quality reports")

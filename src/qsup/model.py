@@ -17,9 +17,9 @@ with the number of exemplars the table describes.  One batched forward pass,
 ``_forward``, serves training, the full-data loss and predict.  Training is
 plain mini-batch SGD with analytic gradients, including the Jacobian of the
 L2 normalization applied to the two text blocks; each step updates only the
-embedding rows of words in the batch and the fc columns of the blocks it uses:
-a trailing text block of no words (the extra block of a ``plain`` batch) is
-left out, and the input gradient covers the text columns only.  Predict goes a
+embedding rows of words in the batch, and the input gradient covers the text
+columns only.  A model's extra block is 0 wide (d_e = 0) unless an exemplar
+it trains on has an extra question: a ``plain`` model has none.  Predict goes a
 window of whole images at a time: each question's row is embedded once under
 each embedding, a question's raw extra block is its image's total less its own
 row (O(k) for k questions), and the image term W_img @ img + b, computed once
@@ -360,12 +360,8 @@ def _forward(model: LinearModel, images: np.ndarray, raws: Sequence[np.ndarray],
 
 def _embed(model: LinearModel, batch):
     """``_forward``'s inputs for a ``_batches`` or ``_block_batch`` batch: its
-    normalized image rows, each text block's raw embedding, and fc_bias.  A
-    trailing block of no words is left out: its raw embedding is zero, so its
-    fc columns add nothing to the logits and get no gradient."""
+    normalized image rows, each text block's raw embedding, and fc_bias."""
     images, texts = batch
-    while texts and not len(texts[-1][0]):
-        texts = texts[:-1]
     embeddings = model.embed_target, model.embed_extra
     return images, [c @ _rows(e, w) for (w, c), e in zip(texts, embeddings)], model.fc_bias
 
@@ -391,9 +387,8 @@ def forward(model: LinearModel, block: FeatureBlock) -> np.ndarray:
 
 def _backward(model: LinearModel, batch, labels: np.ndarray):
     """(log_probs, d fc_weights, d fc_bias, text rows) of the batch's mean
-    cross-entropy; d fc_weights covers the first x.shape[1] columns, those of
-    the blocks ``_embed`` keeps, and text rows holds (word positions, gradient
-    rows) for each kept embedding.  dx covers the text columns only."""
+    cross-entropy; text rows holds (word positions, gradient rows) for each
+    embedding.  dx covers the text columns only."""
     log_probs, x, text_norms = _forward(model, *_embed(model, batch))
     picked = np.arange(len(labels)), labels
     dz = np.exp(log_probs)
@@ -401,7 +396,7 @@ def _backward(model: LinearModel, batch, labels: np.ndarray):
     dz /= len(labels)
 
     d_img, d_t, _, _ = model.dims
-    dx, x_text = dz @ model.fc_weights[:, d_img : x.shape[1]], x[:, d_img:]
+    dx, x_text = dz @ model.fc_weights[:, d_img:], x[:, d_img:]
     text_rows = []
     for (words, counts), norms, lo, hi in zip(batch[1], text_norms, (0, d_t), (d_t, None)):
         g, normed = dx[:, lo:hi], x_text[:, lo:hi]
@@ -430,13 +425,11 @@ def loss_and_grad(
     n_answers = len(model.answer_vocab)
     if not ((labels >= 0) & (labels < n_answers)).all():
         raise ValueError(f"labels outside answer vocabulary of {n_answers}: {labels}")
-    log_probs, d_used, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
+    log_probs, d_weights, d_bias, text_rows = _backward(model, _block_batch(model, blocks), labels)
     # float64 whatever the parameters' dtype: a float32 gradient would round
     d_embed = [np.zeros(model.embed_target.shape), np.zeros(model.embed_extra.shape)]
     for grad, (words, rows) in zip(d_embed, text_rows):
         grad[words] = rows
-    d_weights = np.zeros(model.fc_weights.shape)
-    d_weights[:, : d_used.shape[1]] = d_used
     loss = float(-log_probs[np.arange(len(labels)), labels].mean())
     return loss, Gradients(*d_embed, d_weights, d_bias)
 
@@ -527,21 +520,25 @@ def train(
     are dropped, and the counts are logged.  Each distinct question text
     is tokenized once, by ``token_positions``.  ``on_epoch_end`` receives
     (epoch, full-dataset loss) after each epoch, computed ``batch_size``
-    examples at a time.  An epoch that leaves a parameter past float32 range
-    raises Diverged.
+    examples at a time.  The extra block is ``embed_dim`` wide if a kept entry
+    has extras, read off its size: 2+ questions in ``concat_only``, any in the
+    powerset modes (a mask can select the target), never in ``plain``; else 0.
+    An epoch that leaves a parameter past float32 range raises Diverged.
     """
     examples, n, labels, answer_vocab = _index_units(
         exemplars, features, vocab, config.answer_vocab_size)
 
     d = config.embed_dim
+    least = {AugmentMode.PLAIN: np.inf, AugmentMode.CONCAT_ONLY: 2}.get(examples.table.mode, 1)
+    d_e = d if (examples.table.sizes >= least).any() else 0
     n_answers = len(answer_vocab)
     v = len(vocab)
     s = config.weight_init_scale
     rng = np.random.default_rng(config.seed)
     model = LinearModel(
         embed_target=rng.uniform(-s, s, (v, d)),
-        embed_extra=rng.uniform(-s, s, (v, d)),
-        fc_weights=rng.uniform(-s, s, (n_answers, examples.images.shape[1] + 2 * d)),
+        embed_extra=rng.uniform(-s, s, (v, d_e)),
+        fc_weights=rng.uniform(-s, s, (n_answers, examples.images.shape[1] + d + d_e)),
         fc_bias=rng.uniform(-s, s, n_answers),
         answer_vocab=answer_vocab,
     )
@@ -553,7 +550,7 @@ def train(
                 _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
                 # each gradient is a fresh array, so it is scaled in place
                 d_weights *= lr
-                model.fc_weights[:, : d_weights.shape[1]] -= d_weights
+                model.fc_weights -= d_weights
                 d_bias *= lr
                 model.fc_bias -= d_bias
                 for table, (words, grad) in zip((model.embed_target, model.embed_extra), embeds):

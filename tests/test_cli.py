@@ -99,7 +99,7 @@ class TestExtract:
             3: {"umbrella"},
             4: {"bird", "potted plant"},
         }
-        assert (tmp_path / "extract.snapshot.json").exists()
+        assert (tmp_path / "labels.jsonl.snapshot.json").exists()
 
     def test_lines_are_json_dumps_bytes(self, tmp_path):
         # class names that need escapes, a large image id and an image with no labels
@@ -224,6 +224,29 @@ class TestTrainPredictEval:
                      "--out", str(base / "ci.json")]) == 0
         ci = json.loads((base / "ci.json").read_text())
         assert ci["lower"] <= ci["accuracy"] <= ci["upper"]
+        # each snapshot is named after the output it describes
+        for name in ("pred.jsonl", "report", "ci.json"):
+            assert (base / f"{name}.snapshot.json").exists(), name
+
+    def test_a_plain_model_predicts_the_same_with_and_without_extras(self, pair_setup):
+        # a plain model has no extra block (d_e = 0), so the image's other questions add
+        # nothing; at this initial scale a random, untrained one changes answers
+        fields = {**json.loads((pair_setup / "run.json").read_text())["train"],
+                  "weight_init_scale": 1.0}
+        assert main(_run_config_with(pair_setup, augment_mode="plain", out_dir="plain",
+                                     train=fields)) == 0
+        assert dataio.load_model(pair_setup / "plain" / "model.qsmd").dims.d_e == 0
+        preds = []
+        for flags in ([], ["--use-extras"]):
+            out = pair_setup / f"pred_{len(flags)}.jsonl"
+            assert main(["predict", "--model", str(pair_setup / "plain" / "model.qsmd"),
+                         "--vocab", str(pair_setup / "plain" / "vocab.txt"),
+                         "--features", str(pair_setup / "feats.qvft"),
+                         "--questions", str(pair_setup / "data.json"),
+                         "--out", str(out), *flags]) == 0
+            preds.append(out.read_bytes())
+        assert preds[0] == preds[1]
+        assert len({json.loads(line)["answer"] for line in preds[0].splitlines()}) > 1
 
     @pytest.mark.parametrize("given_vocab", [False, True])
     def test_train_tokenizes_each_distinct_text_once(self, pair_setup, monkeypatch, given_vocab):
@@ -1099,7 +1122,7 @@ def test_bootstrap_without_out_writes_its_snapshot_next_to_the_predictions(tmp_p
     assert main(["bootstrap", "--pred", str(pred), "--dataset", str(tmp_path / "data.json"),
                  "--resamples", "1000", "--seed", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
-    snapshot = json.loads((tmp_path / "preds" / "bootstrap.snapshot.json").read_text())
+    snapshot = json.loads((tmp_path / "preds" / "pred.jsonl.bootstrap.snapshot.json").read_text())
     assert snapshot["seed"] == 4 and snapshot["out"] is None
 
 

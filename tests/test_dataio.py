@@ -300,12 +300,12 @@ class TestFeatureFile:
             save_features({1: np.zeros(3), 2: np.zeros(4)}, tmp_path / "x.qvft")
 
 
-def toy_model(seed=0):
+def toy_model(seed=0, d_e=2):
     rng = np.random.default_rng(seed)
     return LinearModel(
         embed_target=rng.normal(size=(4, 3)),
-        embed_extra=rng.normal(size=(4, 2)),
-        fc_weights=rng.normal(size=(3, 5 + 3 + 2)),
+        embed_extra=rng.normal(size=(4, d_e)),
+        fc_weights=rng.normal(size=(3, 5 + 3 + d_e)),
         fc_bias=rng.normal(size=3),
         answer_vocab=("yes", "no", "2"),
     )
@@ -319,6 +319,21 @@ class TestModelFile:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_a_model_without_an_extra_block_stores_d_e_0_and_no_extra_values(self, tmp_path):
+        model = toy_model(d_e=0)  # as train makes it when no exemplar has an extra question
+        first, second = tmp_path / "m1.qsmd", tmp_path / "m2.qsmd"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        raw = first.read_bytes()
+        assert second.read_bytes() == raw
+        assert loaded.dims == model.dims == (5, 3, 0, 3)
+        d_img, d_t, d_e, n_answers, vocab_size = struct.unpack_from("<5I", raw, 8)
+        assert d_e == 0
+        answers = sum(4 + len(answer.encode()) for answer in model.answer_vocab)
+        floats = vocab_size * (d_t + d_e) + n_answers * (d_img + d_t + d_e + 1)
+        assert len(raw) == 28 + answers + 4 * floats
 
     def test_round_trip_preserves_answers_and_dims(self, tmp_path):
         model = toy_model()

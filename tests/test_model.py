@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -507,10 +508,9 @@ class TestSparseBatchedPath:
         model = train(exemplars, features, vocab, cfg)
         rng = np.random.default_rng(9)
         init_target = rng.uniform(-0.05, 0.05, (len(vocab), 5))
-        init_extra = rng.uniform(-0.05, 0.05, (len(vocab), 5))
         np.testing.assert_array_equal(model.embed_target[-1], init_target[-1])
-        np.testing.assert_array_equal(model.embed_extra[-1], init_extra[-1])
         assert not np.array_equal(model.embed_target[:-1], init_target[:-1])
+        assert model.embed_extra.shape == (len(vocab), 0)  # plain: no extra block
 
     def test_one_full_batch_epoch_is_one_sgd_step(self):
         records, features = make_pair_dataset(12, seed=23)
@@ -785,18 +785,20 @@ def reference_train(exemplars, features, vocab, cfg):
     same order."""
     answer_vocab = build_answer_vocab((e.answer for e in exemplars), cfg.answer_vocab_size)
     index = {a: i for i, a in enumerate(answer_vocab)}
+    kept = [e for e in exemplars if e.answer in index]
     batch = [
         (make_feature_block(vocab, features[e.image_id], e.target_question,
                             e.extra), index[e.answer])
-        for e in exemplars if e.answer in index
+        for e in kept
     ]
     rng = np.random.default_rng(cfg.seed)
     s, d, v = cfg.weight_init_scale, cfg.embed_dim, len(vocab)
+    d_e = d if any(e.extra for e in kept) else 0  # an extra block only if something trains it
     d_img = batch[0][0].image.shape[0]
     model = LinearModel(
         embed_target=rng.uniform(-s, s, (v, d)),
-        embed_extra=rng.uniform(-s, s, (v, d)),
-        fc_weights=rng.uniform(-s, s, (len(answer_vocab), d_img + 2 * d)),
+        embed_extra=rng.uniform(-s, s, (v, d_e)),
+        fc_weights=rng.uniform(-s, s, (len(answer_vocab), d_img + d + d_e)),
         fc_bias=rng.uniform(-s, s, len(answer_vocab)),
         answer_vocab=answer_vocab,
     )
@@ -1014,24 +1016,40 @@ class TestExemplarRowsTraining:
                 assert np.array_equal(got, want_counts)
 
 
-class TestDroppedExtraBlock:
-    """A step whose extra block has no words leaves that block out of the fc
-    products; the parameters it would have touched get no update."""
+def one_question_setup():
+    """oov_setup's answered questions, one image each (yes x2, black), after
+    image 3 (rare, and a second question).  Image 3 is given features:
+    concat_only drops it with its rare answer, but its four powerset rows
+    keep it."""
+    records, features, vocab = oov_setup()
+    (q1, q2), q4 = records[1].answered, records[3].answered[0]
+    records = [records[0], ImageRecord(1, (q1,)), ImageRecord(2, (q4,)),
+               ImageRecord(4, (dataclasses.replace(q2, image_id=4),))]
+    return records, {**features, 3: features[1]}, vocab
 
-    def test_plain_training_keeps_the_extra_parameters_at_their_initial_draws(self):
-        records, features, vocab, exemplars = separable_setup(60)
-        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=9,
-                          answer_vocab_size=4, weight_init_scale=0.05, embed_dim=5)
-        model = train(exemplars, features, vocab, cfg)
-        rng = np.random.default_rng(9)
-        d_img, n_answers = model.dims.d_img, len(model.answer_vocab)
-        init_target = rng.uniform(-0.05, 0.05, (len(vocab), 5))
-        init_extra = rng.uniform(-0.05, 0.05, (len(vocab), 5))
-        init_fc = rng.uniform(-0.05, 0.05, (n_answers, d_img + 10))
-        assert np.array_equal(model.embed_extra, init_extra)
-        assert np.array_equal(model.fc_weights[:, d_img + 5 :], init_fc[:, d_img + 5 :])
-        assert not np.array_equal(model.embed_target, init_target)
-        assert not np.array_equal(model.fc_weights[:, : d_img + 5], init_fc[:, : d_img + 5])
+
+class TestDroppedExtraBlock:
+    """A model has an extra block only if some exemplar it trains on has an
+    extra question; otherwise d_e = 0 and the block has no parameters."""
+
+    @pytest.mark.parametrize("setup, mode, width", [
+        (oov_setup, AugmentMode.PLAIN, 0), (oov_setup, AugmentMode.POWERSET, 6),
+        (oov_setup, AugmentMode.CONCAT_ONLY, 6), (oov_setup, AugmentMode.POWERSET_NO_EMPTY, 6),
+        (one_question_setup, AugmentMode.CONCAT_ONLY, 0),
+        # a powerset mask can select the target itself
+        (one_question_setup, AugmentMode.POWERSET, 6)])
+    def test_a_model_has_an_extra_block_iff_an_exemplar_has_an_extra_question(
+            self, setup, mode, width):
+        records, features, vocab = setup()
+        exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
+        # image 3 has extras in every mode but plain; only the kept exemplars count
+        assert any(e.extra for e in exemplars) == (mode is not AugmentMode.PLAIN)
+        for source in (exemplar_rows(records, mode), iter(exemplars)):
+            model = train(source, features, vocab, OOV_CONFIG)
+            kept = [e for e in exemplars if e.answer in model.answer_vocab]
+            assert any(e.extra for e in kept) == bool(width)
+            assert model.embed_extra.shape == (len(vocab), width)
+            assert model.dims == (4, 6, width, 2)
 
     @pytest.mark.parametrize("mode, has_extras", [
         (AugmentMode.PLAIN, {False}), (AugmentMode.POWERSET, {False, True}),
@@ -1041,7 +1059,7 @@ class TestDroppedExtraBlock:
         cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=1, seed=8,
                           answer_vocab_size=2, weight_init_scale=0.05, embed_dim=6)
         exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
-        # every word is in the vocabulary, so a step drops the block just when it has no extras
+        # every word is in the vocabulary: a step's extra block is empty just when it has no extras
         assert {bool(e.extra) for e in exemplars if e.answer in ("yes", "black")} == has_extras
         model = train(exemplar_rows(records, mode), features, vocab, cfg)
         reference = reference_train(exemplars, features, vocab, cfg)
@@ -1050,28 +1068,31 @@ class TestDroppedExtraBlock:
 
     def test_loss_and_grad_without_extras_is_full_shape_and_matches_central_differences(self):
         rng = np.random.default_rng(19)
-        model = random_model(rng, v=4, d_t=2, d_e=3, d_img=2, answers=("x", "y", "z"))
-        batch = [(FeatureBlock(block.image, block.target_bow, BowVector({}, 4)), label)
-                 for block, label in random_batch(rng, model, size=5)]
-        _, grads = loss_and_grad(model, batch)
-        for name, param in model.parameters().items():
-            assert getattr(grads, name).shape == param.shape, name
-        assert not grads.embed_extra.any() and not grads.fc_weights[:, 4:].any()
-        assert grads.embed_target.any() and grads.fc_weights[:, :4].all()
-        assert_central_differences(model, batch, grads)
+        for d_e in (3, 0):  # an untouched extra block, and none
+            model = random_model(rng, v=4, d_t=2, d_e=d_e, d_img=2, answers=("x", "y", "z"))
+            batch = [(FeatureBlock(block.image, block.target_bow, BowVector({}, 4)), label)
+                     for block, label in random_batch(rng, model, size=5)]
+            _, grads = loss_and_grad(model, batch)
+            for name, param in model.parameters().items():
+                assert getattr(grads, name).shape == param.shape, name
+            assert not grads.embed_extra.any() and not grads.fc_weights[:, 4:].any()
+            assert grads.embed_target.any() and grads.fc_weights[:, :4].all()
+            assert_central_differences(model, batch, grads)
 
 
-def probe_peak_mib(n_questions, n_images):
-    """Peak resident MiB of a fresh process training a generated powerset
+def probe_peak_mib(n_questions, n_images, mode="powerset"):
+    """Peak resident MiB of a fresh process training a generated ``mode``
     manifest of ``n_images`` images with ``n_questions`` answered questions each."""
     src = Path(qsup.__file__).parents[1]
     probe = src.parent / "scripts" / "train_memory_probe.py"
     run = subprocess.run(
-        [sys.executable, str(probe), "--questions", str(n_questions), "--images", str(n_images)],
+        [sys.executable, str(probe), "--questions", str(n_questions), "--images", str(n_images),
+         "--mode", mode],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     figures = json.loads(run.stdout)
-    assert figures["exemplars"] == n_images * n_questions * 2**n_questions
+    per_target = 2**n_questions if mode == "powerset" else 1
+    assert figures["exemplars"] == n_images * n_questions * per_target
     return figures["peak_mib"]
 
 
@@ -1080,3 +1101,11 @@ def test_train_memory_is_flat_in_the_number_of_exemplars():
     # 49,152 and 196,608 powerset exemplars: the peak must not grow with their number
     one, four = probe_peak_mib(12, 1), probe_peak_mib(12, 4)
     assert four - one <= 8.0, (one, four)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_concat_only_train_memory_is_not_quadratic_in_the_questions_of_an_image():
+    # an image of n answered questions has n * (n - 1) concat_only extras: 1M and 4M
+    # here; a step holds a batch of them (linear in n), never all at once
+    one, two = probe_peak_mib(1000, 1, "concat_only"), probe_peak_mib(2000, 1, "concat_only")
+    assert two - one <= 48.0, (one, two)
