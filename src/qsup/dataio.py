@@ -19,10 +19,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode
-from operator import is_not, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 
@@ -97,6 +95,10 @@ def _read_json(path: str | Path, lines: bool = False):
             value = json.loads(chunk)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{first + exc.lineno - 1}: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:  # no line: nesting or an integer too long
+            what = "integer literal too long" if isinstance(exc, ValueError) else "nesting too deep"
+            where = f"{path}:{first}" if lines else path
+            raise ParseError(f"{where}: {what}") from exc
         if not isinstance(value, dict):
             raise ParseError(f"{path}:{first}: expected an object")
         values.append(value)
@@ -121,7 +123,7 @@ def _field(record: dict, key: str, kind: tuple, context: str, default=_REQUIRED)
     Anything else is a ParseError saying the field must be ``what``."""
     check, what = kind
     value = record.get(key)
-    if check(value):
+    if check([value]):
         return value
     if value is None and default is not _REQUIRED:
         return default
@@ -130,35 +132,23 @@ def _field(record: dict, key: str, kind: tuple, context: str, default=_REQUIRED)
     raise ParseError(f"{context}: field {key!r} must be {what}")
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # JSON true decodes to bool, an int subclass
+def _types(values, *types) -> bool:
+    return set(map(type, values)) <= set(types)  # exact: JSON true is a bool, not an int
 
 
-# (check, what) kinds for _field and _columns_pass; no check accepts None
-_INT = (_is_int, "an integer")
-_INDEX = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-_POSITIVE = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_NUMBER = (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)), "a finite number")
-_STR = (lambda v: isinstance(v, str), "a string")
-_TEXT = (lambda v: isinstance(v, str) and bool(v.strip()), "a non-empty string")
-_ID = (lambda v: type(v) in (str, int), "a string or an integer")
-_STRINGS = (
-    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"
-)
-_LIST = (lambda v: isinstance(v, list), "a list")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-
-
-def _columns_pass(records: list, fields: tuple) -> bool:
-    """Whether every record is an object that passes the check of each (key,
-    kind, optional) field, one column at a time; absent optional values pass."""
-    if not set(map(type, records)) <= {dict}:
-        return False
-    for key, (check, _), optional in fields:
-        column = map(dict.get, records, repeat(key))
-        if not all(map(check, filter(partial(is_not, None), column) if optional else column)):
-            return False
-    return True
+# (check, what) kinds for _field and _records: a check takes a column, a list of
+# values, and says whether each value is ``what``; no check accepts None
+_INT = (lambda c: _types(c, int), "an integer")
+_INDEX = (lambda c: _types(c, int) and min(c, default=0) >= 0, "a non-negative integer")
+_POSITIVE = (lambda c: _types(c, int) and min(c, default=1) >= 1, "an integer >= 1")
+_NUMBER = (lambda c: _types(c, int, float) and all(math.isfinite(v) for v in c if type(v) is float),
+           "a finite number")  # isfinite would overflow on a 400-digit int
+_STR = (lambda c: _types(c, str), "a string")
+_TEXT = (lambda c: _types(c, str) and all(map(str.strip, c)), "a non-empty string")
+_ID = (lambda c: _types(c, str, int), "a string or an integer")
+_STRINGS = (lambda c: _types(c, list) and _types(chain.from_iterable(c), str), "a list of strings")
+_LIST = (lambda c: _types(c, list), "a list")
+_OBJECT = (lambda c: _types(c, dict), "an object")
 
 
 def _records(records: list, where, fields: tuple, build, closed: bool = False,
@@ -166,16 +156,20 @@ def _records(records: list, where, fields: tuple, build, closed: bool = False,
     """``build(*values)`` for each object of ``records``, with the values of
     ``fields`` (absent optional ones None).  A fault is a field its check
     refuses, a key outside ``fields`` when ``closed``, a value of the field
-    ``unique`` seen before, or a ValueError from ``build``.  The records are
-    checked a column at a time; only on a fault are they walked one by one,
-    field by field, so that the first faulty record, ``where(i)``, raises."""
+    ``unique`` seen before, or a ValueError from ``build``.  Each column is
+    read once and checked whole, an optional one without its Nones; only on
+    a fault are the records walked one by one, field by field, so that the
+    first faulty record, ``where(i)``, raises."""
     keys = [k for k, _, _ in fields]
-    if (_columns_pass(records, fields) and not (closed and set().union(*records).difference(keys))
-            and (unique is None or len(set(map(itemgetter(unique), records))) == len(records))):
-        try:
-            return [build(*map(record.get, keys)) for record in records]
-        except ValueError:
-            pass  # an answer outside its choices: the walk names the record
+    if _types(records, dict) and not (closed and set().union(*records).difference(keys)):
+        columns = [list(map(dict.get, records, repeat(k))) for k in keys]
+        if (all(check([v for v in c if v is not None] if optional else c)
+                for c, (_, (check, _), optional) in zip(columns, fields))
+                and (unique is None or len(set(columns[keys.index(unique)])) == len(records))):
+            try:
+                return list(map(build, *columns))
+            except ValueError:
+                pass  # an answer outside its choices: the walk names the record
     built, first = [], {}  # first: value of ``unique`` -> its first record
     for i, record in enumerate(records):
         context = where(i)
@@ -427,11 +421,14 @@ def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[i
 def save_model(model: LinearModel, path: str | Path) -> None:
     import numpy as np
     d_img, d_t, d_e, n_answers = model.dims
+    try:  # before the file is opened, so that a bad answer leaves none
+        raws = [answer.encode("utf-8") for answer in model.answer_vocab]
+    except UnicodeEncodeError as exc:  # a lone surrogate, as the JSON escape "\ud800" reads
+        raise ParseError(f"answer {exc.object!r} is not Unicode text") from exc
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", MODEL_MAGIC, FORMAT_VERSION))
         fh.write(struct.pack("<5I", d_img, d_t, d_e, n_answers, model.vocab_size))
-        for answer in model.answer_vocab:
-            raw = answer.encode("utf-8")
+        for raw in raws:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         for param in model.parameters().values():
@@ -505,7 +502,8 @@ class RunConfig:
 _RUN_CONFIG_KEYS = ("dataset", "features", "seed", "out_dir", "vocab", "augment_mode",
                     "min_count", "train", "types", "object_vocab")
 _AUGMENT_MODES = tuple(m.value for m in AugmentMode)
-_AUGMENT_MODE = (lambda v: v in _AUGMENT_MODES, "one of " + ", ".join(_AUGMENT_MODES))
+_AUGMENT_MODE = (lambda c: all(map(_AUGMENT_MODES.__contains__, c)),
+                 "one of " + ", ".join(_AUGMENT_MODES))
 
 
 def load_run_config(path: str | Path) -> RunConfig:

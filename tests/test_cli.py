@@ -743,6 +743,29 @@ def _extract_with(flag, raw):
                       flag, _bytes_file(b, "table.txt", raw), "--out", str(b / "l.jsonl")]
 
 
+def _deeply_nested_manifest(base):
+    """extract on a manifest whose gt_labels is nested 100,000 deep, written as
+    text, since json.dumps stops at the recursion limit."""
+    nested = "[" * 100_000 + "]" * 100_000
+    (base / "deep.json").write_text(f'{{"images": [{{"image_id": 1, "gt_labels": {nested}}}], '
+                                    '"questions": []}')
+    return ["extract", "--questions", str(base / "deep.json"), "--out", str(base / "l.jsonl")]
+
+
+def _long_integer(base, name, payload):
+    """``payload`` written to ``name`` with its "LONG" string as a 5,000-digit
+    integer literal, past the digit limit of int(); json.dumps refuses to write one."""
+    (base / name).write_text(json.dumps(payload).replace('"LONG"', "1" * 5000) + "\n")
+    return str(base / name)
+
+
+def _skip_where_integers_have_no_digit_limit(case):
+    """Python 3.10 before 3.10.7 reads integer literals of any length."""
+    if (case in ("eval_long_integer_question_id", "train_config_long_integer_seed")
+            and not hasattr(sys, "get_int_max_str_digits")):
+        pytest.skip("this Python reads integer literals of any length")
+
+
 # (argv built from the pair_setup directory, expected exit code):
 # 1 = bad flag value or combination, 2 = bad data
 CONTRACT_CASES = {
@@ -941,6 +964,17 @@ CONTRACT_CASES = {
                    "--labels", _repeated_jsonl(b, {"image_id": 1, "labels": ["bus"]}),
                    "--dataset", str(_manifest_with(b, image={"gt_labels": ["bus"]})),
                    "--out-prefix", str(b / "pr")], 2),
+    "extract_deeply_nested_manifest": (_deeply_nested_manifest, 2),
+    "eval_long_integer_question_id": (
+        lambda b: ["eval", "--pred", _long_integer(b, "long.jsonl", {"question_id": "LONG",
+                                                                     "answer": "red"}),
+                   "--dataset", str(_manifest_with(b)), "--out-prefix", str(b / "r")], 2),
+    "train_config_long_integer_seed": (
+        lambda b: ["train", "--config", _long_integer(
+            b, "long_run.json", {**json.loads((b / "run.json").read_text()), "seed": "LONG"})], 2),
+    "train_lone_surrogate_answer": (
+        lambda b: _run_config_with(b, dataset=_manifest_with(b, question={"answer": "\ud800"}).name),
+        2),
 }
 
 
@@ -1131,8 +1165,26 @@ def test_predict_reads_the_well_formed_contract_model(pair_setup):
     assert len((pair_setup / "p.jsonl").read_text().splitlines()) == 120
 
 
+@pytest.mark.parametrize("case, message", [
+    ("extract_deeply_nested_manifest", "deep.json: nesting too deep"),
+    ("eval_long_integer_question_id", "long.jsonl:1: integer literal too long"),
+    ("train_config_long_integer_seed", "long_run.json: integer literal too long"),
+])
+def test_json_past_the_decoder_limits_names_the_file(case, message, pair_setup, capsys):
+    _skip_where_integers_have_no_digit_limit(case)
+    assert main(CONTRACT_CASES[case][0](pair_setup)) == 2
+    assert capsys.readouterr().err == f"qsup: error: {pair_setup / message}\n"
+
+
+def test_an_answer_that_is_not_unicode_text_writes_no_model(pair_setup, capsys):
+    assert main(CONTRACT_CASES["train_lone_surrogate_answer"][0](pair_setup)) == 2
+    assert capsys.readouterr().err == "qsup: error: answer '\\ud800' is not Unicode text\n"
+    assert not (pair_setup / "out" / "model.qsmd").exists()
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_exit_codes(case, pair_setup, capsys):
+    _skip_where_integers_have_no_digit_limit(case)
     build_argv, expected = CONTRACT_CASES[case]
     code = main(build_argv(pair_setup))
     err = capsys.readouterr().err
@@ -1146,8 +1198,10 @@ def test_cli_contract_exit_codes(case, pair_setup, capsys):
         assert error_lines[0].startswith("qsup: error:")
 
 
-# wrong-typed stand-ins for a field or a record list; JSON reads NaN back as a float
-_WRONG_VALUES = [None, True, -1, 1.5, 2**64, float("nan"), "", "x", [], [1], ["a"], {}, {"a": 1}]
+# wrong-typed stand-ins for a field or a record list; JSON reads NaN back as a float,
+# and "\ud800" as a lone surrogate
+_WRONG_VALUES = [None, True, -1, 1.5, 2**64, float("nan"), "", "x", "\ud800", [], [1], ["a"], {},
+                 {"a": 1}]
 
 
 def _mutate(payload: dict, rng) -> str:

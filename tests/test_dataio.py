@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsup import cli
+from qsup import cli, dataio
 from qsup.dataio import (
     DatasetManifest,
     ImageEntry,
@@ -535,6 +535,49 @@ def test_json_inputs_must_be_utf8(tmp_path, loader):
     path.write_bytes(b'\xff\xfe{"images": []}')
     with pytest.raises(ParseError):
         loader(path)
+
+
+# every (check, what) field kind of dataio
+_KINDS = {name: kind for name, kind in vars(dataio).items()
+          if isinstance(kind, tuple) and len(kind) == 2 and callable(kind[0])}
+_JSON_SCALARS = st.one_of(
+    st.booleans(), st.integers(-3, 3), st.sampled_from([2**64, 10**400]), st.floats(),
+    st.sampled_from(["", " ", "\t\n", "\ud800", "x", "plain", "powerset"]), st.text(max_size=3))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                            max_leaves=6)
+# mixed columns, and columns of one JSON type, which some kinds accept
+_COLUMNS = st.lists(_JSON_VALUES, max_size=5) | st.one_of(
+    st.lists(st.integers(-3, 3) | st.sampled_from([2**64, 10**400]), max_size=5),
+    st.lists(st.floats() | st.integers(0, 3), max_size=5),
+    st.lists(_JSON_SCALARS.filter(lambda v: type(v) is str), max_size=5),
+    st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(column=_COLUMNS)
+def test_a_kind_checks_a_column_as_it_checks_each_value(column):
+    assert {"_INT", "_INDEX", "_POSITIVE", "_NUMBER", "_STR", "_TEXT", "_ID", "_STRINGS", "_LIST",
+            "_OBJECT", "_AUGMENT_MODE"} <= _KINDS.keys()
+    for name, (check, _) in _KINDS.items():
+        assert check(column) == all(check([v]) for v in column), name
+
+
+def test_records_reads_the_columns_the_field_walk_reads(monkeypatch):
+    """On a valid manifest of 200 questions the column pass returns the
+    values a field-by-field walk with _field reads, and walks no record."""
+    images = [{"image_id": i, "feature_ref": None if i % 3 else i + 100,
+               **({"gt_labels": ["bus", "cat"][: i % 3]} if i % 2 else {})} for i in range(50)]
+    questions = [{"id": i if i % 2 else f"q{i}", "image_id": i % 50, "text": f"what is {i}?",
+                  **({"answer": "red"} if i % 3 else {"answer": None}),
+                  **({"choices": ["red", "blue"]} if i % 4 == 1 else {})} for i in range(200)]
+    for records, fields, unique in [(images, dataio._IMAGE_FIELDS, "image_id"),
+                                    (questions, dataio._QUESTION_FIELDS, "id")]:
+        walked = [tuple(dataio._field(r, k, kind, "", None if optional else dataio._REQUIRED)
+                        for k, kind, optional in fields) for r in records]
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_field", None)  # a walk would call it
+            assert dataio._records(records, str, fields, lambda *v: v, True, unique) == walked
 
 
 def test_run_config_ignores_table_paths(tmp_path):
