@@ -452,6 +452,8 @@ def _flag_combination_error(args: argparse.Namespace) -> str | None:
         if getattr(args, name) is not None:
             return (f"{args.command}: --{name.replace('_', '-')} is not read with "
                     f"--{mode} {getattr(args, mode)}")
+    if args.command == "word-targets" and None not in (args.text_vocab, args.min_count):
+        return "word-targets: --min-count is not read with --text-vocab"
     return None
 
 

@@ -420,11 +420,9 @@ def load_features(path: str | Path, refs: Iterable[int] | None = None) -> dict[i
 
 def save_model(model: LinearModel, path: str | Path) -> None:
     import numpy as np
+    from .model import encode_answers
     d_img, d_t, d_e, n_answers = model.dims
-    try:  # before the file is opened, so that a bad answer leaves none
-        raws = [answer.encode("utf-8") for answer in model.answer_vocab]
-    except UnicodeEncodeError as exc:  # a lone surrogate, as the JSON escape "\ud800" reads
-        raise ParseError(f"answer {exc.object!r} is not Unicode text") from exc
+    raws = encode_answers(model.answer_vocab)  # before the file is opened: a bad answer leaves none
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", MODEL_MAGIC, FORMAT_VERSION))
         fh.write(struct.pack("<5I", d_img, d_t, d_e, n_answers, model.vocab_size))

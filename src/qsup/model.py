@@ -14,17 +14,17 @@ words they use.  ``train`` decodes examples (an image row, the target's bag
 row, the extras' bag rows) a window at a time from an ``augment.ExemplarRows``
 table, which Exemplar objects are laid out as first, so memory does not grow
 with the number of exemplars the table describes.  One batched forward pass,
-``_forward``, serves training, the full-data loss and predict.  Training is
-plain mini-batch SGD with analytic gradients, including the Jacobian of the
-L2 normalization applied to the two text blocks; each step updates only the
-embedding rows of words in the batch, and the input gradient covers the text
-columns only.  A model's extra block is 0 wide (d_e = 0) unless an exemplar
-it trains on has an extra question: a ``plain`` model has none.  Predict goes a
-window of whole images at a time: each question's row is embedded once under
-each embedding, a question's raw extra block is its image's total less its own
-row (O(k) for k questions), and the image term W_img @ img + b, computed once
-per image, is the offset of its questions' forward pass over a zero-width image
-block.
+``_forward``, serves training and predict; there is no full-data loss pass, as
+an epoch's loss is read off its own steps.  Training is plain mini-batch SGD
+with analytic gradients, including the Jacobian of the L2 normalization
+applied to the two text blocks; each step updates only the embedding rows of
+words in the batch, and the input gradient covers the text columns only.  A
+model's extra block is 0 wide (d_e = 0) unless an exemplar it trains on has an
+extra question: a ``plain`` model has none.  Predict goes a window of whole
+images at a time: each question's row is embedded once under each embedding, a
+question's raw extra block is its image's total less its own row (O(k) for k
+questions), and the image term W_img @ img + b, computed once per image, is
+the offset of its questions' forward pass over a zero-width image block.
 ``predict`` is one group [target, *extras] of that road, answering its
 target.  The one-example API (``FeatureBlock``, ``forward``, ``loss_and_grad``)
 gives block i of a batch of n bag row i as its target and row n + i as extras.
@@ -49,6 +49,7 @@ from .errors import (
     Diverged,
     EmptyBatch,
     NoTrainableExemplars,
+    ParseError,
 )
 from .qparse import Question
 from .vocab import BowVector, Vocabulary, bow_featurize, token_positions
@@ -65,6 +66,7 @@ __all__ = [
     "forward",
     "loss_and_grad",
     "build_answer_vocab",
+    "encode_answers",
     "train",
     "predict",
     "predict_images",
@@ -344,10 +346,10 @@ def make_feature_block(
 
 
 def _forward(model: LinearModel, images: np.ndarray, raws: Sequence[np.ndarray], offset):
-    """(log_probs, x, norms) of the one forward pass of training, the full-data
-    loss and predict: x is ``images`` then each raw text block of ``raws``
-    L2-normalized, norms their raw norms; the logits are x times the fc columns
-    of those blocks, from column d_img - images.shape[1], plus ``offset``."""
+    """(log_probs, x, norms) of the one forward pass of training and predict:
+    x is ``images`` then each raw text block of ``raws`` L2-normalized, norms
+    their raw norms; the logits are x times the fc columns of those blocks,
+    from column d_img - images.shape[1], plus ``offset``."""
     normed = [_normalize_rows(raw) for raw in raws]
     x = np.concatenate([images, *(block for block, _ in normed)], axis=1)
     lo = model.dims.d_img - images.shape[1]
@@ -448,6 +450,16 @@ def _top_answers(counts: Mapping[str, int], size: int) -> tuple[str, ...]:
     return tuple(ranked[:size])
 
 
+def encode_answers(answers: Iterable[str]) -> list[bytes]:
+    """Each answer as the UTF-8 bytes the model file stores; an answer that is
+    not Unicode text, such as the lone surrogate the JSON escape "\\ud800"
+    reads as, is a ParseError."""
+    try:
+        return [answer.encode("utf-8") for answer in answers]
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"answer {exc.object!r} is not Unicode text") from exc
+
+
 def _text_bags(questions: Iterable[Question],
                positions_of: Callable[[str], Sequence[int]]) -> tuple[np.ndarray, _Bags]:
     """(bag row of each question, bags): one bag row (of the word positions
@@ -484,6 +496,7 @@ def _index_units(
                 n_rows, n, n_rows - n)
     if not n:
         raise NoTrainableExemplars("no exemplars with in-vocabulary answers")
+    encode_answers(answer_vocab)  # a model that could not be saved is refused before training
 
     table = table.select(keep)
     # the questions of any row: a plain row has only its target; the extras
@@ -509,7 +522,6 @@ def train(
     features: Mapping[int, np.ndarray],
     vocab: Vocabulary,
     config: TrainConfig,
-    on_epoch_end: Callable[[int, float], None] | None = None,
 ) -> LinearModel:
     """Mini-batch SGD over the exemplars; deterministic given the seed.
 
@@ -518,9 +530,10 @@ def train(
     the same exemplars give the same model.  The answer vocabulary is the
     most frequent exemplar answers; exemplars whose answer falls outside it
     are dropped, and the counts are logged.  Each distinct question text
-    is tokenized once, by ``token_positions``.  ``on_epoch_end`` receives
-    (epoch, full-dataset loss) after each epoch, computed ``batch_size``
-    examples at a time.  The extra block is ``embed_dim`` wide if a kept entry
+    is tokenized once, by ``token_positions``.  After each epoch, one INFO
+    line logs its mean step loss: the mean over the kept exemplars of each
+    one's loss at the parameters its step started from, read off the step's
+    own forward pass.  The extra block is ``embed_dim`` wide if a kept entry
     has extras, read off its size: 2+ questions in ``concat_only``, any in the
     powerset modes (a mask can select the target), never in ``plain``; else 0.
     An epoch that leaves a parameter past float32 range raises Diverged.
@@ -544,10 +557,12 @@ def train(
     )
 
     lr = config.learning_rate
-    for epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
+        nll = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # storable() below reports divergence
             for idx, batch in _batches(examples, rng.permutation(n), config.batch_size):
-                _, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
+                log_probs, d_weights, d_bias, embeds = _backward(model, batch, labels[idx])
+                nll -= log_probs[np.arange(len(idx)), labels[idx]].sum()
                 # each gradient is a fresh array, so it is scaled in place
                 d_weights *= lr
                 model.fc_weights -= d_weights
@@ -559,13 +574,8 @@ def train(
                 # so that no two steps' fc-sized gradients are alive at once
                 del d_weights, d_bias, embeds, batch
         if not model.storable():
-            raise Diverged(f"training diverged in epoch {epoch + 1}: parameters past float32 range")
-        if on_epoch_end is not None:
-            nll = 0.0
-            for idx, batch in _batches(examples, np.arange(n), config.batch_size):
-                log_probs = _forward(model, *_embed(model, batch))[0]
-                nll -= log_probs[np.arange(len(idx)), labels[idx]].sum()
-            on_epoch_end(epoch, float(nll / n))
+            raise Diverged(f"training diverged in epoch {epoch}: parameters past float32 range")
+        logger.info("epoch %d of %d: mean step loss %f", epoch, config.epochs, float(nll / n))
     return model
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import random
 import struct
@@ -793,6 +794,10 @@ CONTRACT_CASES = {
     "word_targets_classes80_with_min_count": (
         lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "classes80",
                    "--min-count", "5", "--out", str(b / "t.jsonl")], 1),
+    "word_targets_text_vocab_with_min_count": (
+        lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
+                   "--text-vocab", str(b / "absent" / "v.txt"), "--min-count", "5",
+                   "--out", str(b / "t.jsonl")], 1),
     "word_targets_full_with_object_vocab": (
         lambda b: ["word-targets", "--questions", str(b / "data.json"), "--mode", "full",
                    "--vocab", str(b / "absent" / "o.txt"), "--out", str(b / "t.jsonl")], 1),
@@ -1088,6 +1093,8 @@ def test_missing_references_name_the_file_they_refer_to(case, flag, missing, pai
 @pytest.mark.parametrize("case, message", [
     ("word_targets_classes80_with_text_vocab",
      "word-targets: --text-vocab is not read with --mode classes80"),
+    ("word_targets_text_vocab_with_min_count",
+     "word-targets: --min-count is not read with --text-vocab"),
     ("eval_vqa_with_labels", "eval: --labels is not read with --task vqa"),
     ("eval_extraction_with_pred", "eval: --pred is not read with --task extraction"),
     ("simulate_keep_with_out_rest", "simulate: --out-rest is not read with --keep 1"),
@@ -1176,10 +1183,14 @@ def test_json_past_the_decoder_limits_names_the_file(case, message, pair_setup, 
     assert capsys.readouterr().err == f"qsup: error: {pair_setup / message}\n"
 
 
-def test_an_answer_that_is_not_unicode_text_writes_no_model(pair_setup, capsys):
+def test_an_answer_that_is_not_unicode_text_writes_no_model(pair_setup, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="qsup.model")
     assert main(CONTRACT_CASES["train_lone_surrogate_answer"][0](pair_setup)) == 2
     assert capsys.readouterr().err == "qsup: error: answer '\\ud800' is not Unicode text\n"
-    assert not (pair_setup / "out" / "model.qsmd").exists()
+    assert not (pair_setup / "out").exists()
+    # refused before the first epoch: the exemplar counts are logged, no epoch is
+    assert caplog.messages and caplog.messages[0].startswith("exemplars: ")
+    assert not [m for m in caplog.messages if m.startswith("epoch ")]
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

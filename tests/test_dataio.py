@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -342,6 +343,12 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.answer_vocab == model.answer_vocab
         assert loaded.dims == model.dims
+
+    def test_an_answer_that_is_not_unicode_text_is_refused_before_the_file_opens(self, tmp_path):
+        model = dataclasses.replace(toy_model(), answer_vocab=("yes", "\ud800", "2"))
+        with pytest.raises(ParseError, match=r"^answer '\\ud800' is not Unicode text$"):
+            save_model(model, tmp_path / "m.qsmd")
+        assert not (tmp_path / "m.qsmd").exists()
 
     def test_version_bump_rejected(self, tmp_path):
         model = toy_model()

@@ -63,6 +63,14 @@ def random_batch(rng, model, size=6):
     return batch
 
 
+def train_logged(caplog, *args):
+    """``train``'s model and the mean step loss it logs for each epoch."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="qsup.model"):
+        model = train(*args)
+    return model, [r.args[2] for r in caplog.records if r.msg.startswith("epoch ")]
+
+
 def assert_central_differences(model, batch, grads, h=1e-5):
     """Each analytic gradient entry agrees with a central difference of the loss."""
     for name, param in model.parameters().items():
@@ -255,12 +263,12 @@ class TestTrain:
         expected = rng.uniform(-0.05, 0.05, (len(vocab), 4))
         np.testing.assert_array_equal(model.embed_target, expected)
 
-    def test_epoch_loss_non_increasing_early(self):
+    def test_epoch_loss_non_increasing_early(self, caplog):
         records, features, vocab, exemplars = separable_setup(200)
         cfg = TrainConfig(learning_rate=0.5, epochs=5, batch_size=32, seed=3,
                           answer_vocab_size=4, weight_init_scale=0.01, embed_dim=16)
-        losses = []
-        train(exemplars, features, vocab, cfg, on_epoch_end=lambda e, l: losses.append(l))
+        _, losses = train_logged(caplog, exemplars, features, vocab, cfg)
+        assert len(losses) == 5
         assert losses == sorted(losses, reverse=True)
 
     def test_answer_vocab_most_frequent_with_ties(self):
@@ -541,22 +549,6 @@ class TestSparseBatchedPath:
             np.testing.assert_allclose(model.parameters()[name], param - 0.5 * getattr(grads, name),
                                        rtol=0, atol=1e-12)
 
-    def test_epoch_loss_equals_full_batch_loss(self):
-        records, features, vocab, exemplars = separable_setup(60)
-        cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=7, seed=4,
-                          answer_vocab_size=4, weight_init_scale=0.01, embed_dim=6)
-        losses = []
-        model = train(exemplars, features, vocab, cfg, on_epoch_end=lambda e, l: losses.append(l))
-        index = {a: i for i, a in enumerate(model.answer_vocab)}
-        full = [
-            (make_feature_block(vocab, features[e.image_id], e.target_question, e.extra),
-             index[e.answer])
-            for e in exemplars
-        ]
-        loss, _ = loss_and_grad(model, full)
-        assert len(losses) == 2
-        assert abs(losses[-1] - loss) <= 1e-12
-
 
 class TestPredictImages:
     WORDS = ["what", "is", "the", "red", "blue", "cat", "dog", "left"]
@@ -687,8 +679,8 @@ class TestPredictImages:
 
 
 class TestOneForwardPass:
-    """Training, the full-data loss, the one-example API and predict all form
-    their logits in ``model._forward``."""
+    """Training, the one-example API and predict all form their logits in
+    ``model._forward``, and training runs it once per SGD step."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -703,16 +695,14 @@ class TestOneForwardPass:
         monkeypatch.setattr(model_module, "_forward", counting)
         return rows
 
-    def test_train_and_its_full_data_loss(self, rows):
+    def test_train(self, rows):
         records, features, vocab, exemplars = separable_setup(40)
         cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=16, seed=5,
                           answer_vocab_size=1000, weight_init_scale=0.01, embed_dim=4)
-        losses = []
-        train(exemplars, features, vocab, cfg, on_epoch_end=lambda e, l: losses.append(l))
+        train(exemplars, features, vocab, cfg)
         n = len(exemplars)
         batches = [min(16, n - lo) for lo in range(0, n, 16)]
-        assert len(losses) == 2
-        assert rows == batches * 4  # per epoch, the SGD steps then the loss
+        assert rows == batches * 2  # the SGD steps only: the epoch loss is theirs
 
     def test_loss_and_grad_and_forward(self, rows):
         rng = np.random.default_rng(91)
@@ -782,7 +772,7 @@ def shared_text_setup():
 def reference_train(exemplars, features, vocab, cfg):
     """``train`` written as SGD steps of ``loss_and_grad`` over per-exemplar
     feature blocks, drawing the initialization and the permutations in the
-    same order."""
+    same order: the model and each epoch's mean step loss."""
     answer_vocab = build_answer_vocab((e.answer for e in exemplars), cfg.answer_vocab_size)
     index = {a: i for i, a in enumerate(answer_vocab)}
     kept = [e for e in exemplars if e.answer in index]
@@ -802,13 +792,18 @@ def reference_train(exemplars, features, vocab, cfg):
         fc_bias=rng.uniform(-s, s, len(answer_vocab)),
         answer_vocab=answer_vocab,
     )
+    losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(batch))
+        total = 0.0
         for lo in range(0, len(batch), cfg.batch_size):
-            _, grads = loss_and_grad(model, [batch[i] for i in order[lo : lo + cfg.batch_size]])
+            step = [batch[i] for i in order[lo : lo + cfg.batch_size]]
+            loss, grads = loss_and_grad(model, step)
+            total += loss * len(step)
             for name, param in model.parameters().items():
                 param -= cfg.learning_rate * getattr(grads, name)
-    return model
+        losses.append(total / len(batch))
+    return model, losses
 
 
 class TestLoadedModel:
@@ -874,7 +869,7 @@ class TestQuestionRows:
         cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=5, seed=8,
                           answer_vocab_size=3, weight_init_scale=0.05, embed_dim=6)
         model = train(exemplars, features, vocab, cfg)
-        reference = reference_train(exemplars, features, vocab, cfg)
+        reference, _ = reference_train(exemplars, features, vocab, cfg)
         assert model.answer_vocab == reference.answer_vocab
         for name, param in reference.parameters().items():
             assert np.array_equal(model.parameters()[name], param), name
@@ -944,20 +939,28 @@ def reference_count_matrix(bags, ptr, rows, idx):
 
 class TestExemplarRowsTraining:
     @pytest.mark.parametrize("mode", list(AugmentMode))
-    def test_rows_train_as_the_exemplar_stream_and_the_reference(self, mode):
+    def test_rows_train_as_the_exemplar_stream_and_the_reference(self, mode, caplog):
         records, features, vocab = oov_setup()
-        losses = {"rows": [], "objects": []}
-        from_rows = train(exemplar_rows(records, mode), features, vocab, OOV_CONFIG,
-                          lambda e, loss: losses["rows"].append(loss))
+        from_rows, row_losses = train_logged(
+            caplog, exemplar_rows(records, mode), features, vocab, OOV_CONFIG)
         exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
-        from_objects = train(iter(exemplars), features, vocab, OOV_CONFIG,
-                             lambda e, loss: losses["objects"].append(loss))
-        reference = reference_train(exemplars, features, vocab, OOV_CONFIG)
+        from_objects, object_losses = train_logged(
+            caplog, iter(exemplars), features, vocab, OOV_CONFIG)
+        reference, _ = reference_train(exemplars, features, vocab, OOV_CONFIG)
         assert from_rows.answer_vocab == reference.answer_vocab == ("yes", "black")
         for name, param in reference.parameters().items():
             assert np.array_equal(from_rows.parameters()[name], param), name
             assert np.array_equal(from_objects.parameters()[name], param), name
-        assert losses["rows"] == losses["objects"] and len(losses["rows"]) == 2
+        assert row_losses == object_losses and len(row_losses) == 2
+
+    @pytest.mark.parametrize("mode", list(AugmentMode))
+    def test_logged_losses_are_the_references_mean_step_losses(self, mode, caplog):
+        records, features, vocab = oov_setup()
+        _, losses = train_logged(caplog, exemplar_rows(records, mode), features, vocab, OOV_CONFIG)
+        exemplars = [e for r in records if r.answered for e in generate_exemplars(r, mode)]
+        _, want = reference_train(exemplars, features, vocab, OOV_CONFIG)
+        assert len(losses) == len(want) == 2
+        np.testing.assert_allclose(losses, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", list(AugmentMode))
     def test_exemplar_objects_of_an_image_past_64_bits_train_as_its_rows(self, mode):
@@ -978,8 +981,12 @@ class TestExemplarRowsTraining:
         with caplog.at_level(logging.INFO, logger="qsup.model"):
             train(exemplar_rows(records, AugmentMode.POWERSET), features, vocab, OOV_CONFIG)
         # image 3 has two questions, images 1 and 2 three: 4 dropped, 8 + 8 + 8 kept
-        assert caplog.messages == [
-            "exemplars: 28 generated, 24 kept, 4 dropped with out-of-vocabulary answers"]
+        assert caplog.messages[0] == (
+            "exemplars: 28 generated, 24 kept, 4 dropped with out-of-vocabulary answers")
+        losses = [r.args[2] for r in caplog.records[1:]]
+        assert len(losses) == 2
+        assert caplog.messages[1:] == [f"epoch {k} of 2: mean step loss {loss:f}"
+                                       for k, loss in enumerate(losses, 1)]
 
     @pytest.mark.parametrize("mode", list(AugmentMode))
     @pytest.mark.parametrize("batch_size", [1, 3, 5, 64])
@@ -1062,7 +1069,7 @@ class TestDroppedExtraBlock:
         # every word is in the vocabulary: a step's extra block is empty just when it has no extras
         assert {bool(e.extra) for e in exemplars if e.answer in ("yes", "black")} == has_extras
         model = train(exemplar_rows(records, mode), features, vocab, cfg)
-        reference = reference_train(exemplars, features, vocab, cfg)
+        reference, _ = reference_train(exemplars, features, vocab, cfg)
         for name, param in reference.parameters().items():
             assert np.array_equal(model.parameters()[name], param), name
 
